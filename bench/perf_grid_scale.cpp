@@ -10,13 +10,17 @@
 //     backend — a charitable baseline), measured over fewer trials at the
 //     large sizes and reported per-trial; `baseline_trials_measured` records
 //     exactly how many trials the baseline number averages.
-// It also cross-checks healthy-grid voltages between up-looking+RCM and
+// It also counts the factored solves of the shared-base Monte Carlo per
+// array failure (one incidence column each, plus one per rebase; the fixed
+// right-hand side reuses the model's cached base solution), cross-checks
+// healthy-grid voltages between up-looking+RCM and
 // supernodal+AMD at the sizes where the banded factor is still tractable,
 // and verifies the shared-base Monte Carlo is bit-identical across thread
 // counts.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
-// the parity and speedup floors; tier-1 runs it on every commit.
+// the parity, speedup and solves-per-failure gates; tier-1 runs it on every
+// commit.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -32,6 +36,7 @@
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
+#include "obs/obs.h"
 
 using namespace viaduct;
 
@@ -50,6 +55,11 @@ struct Point {
   int baselineTrialsMeasured = 0;
   double baselineSecondsPerTrial = 0.0;
   double speedup = 0.0;
+  // Shared-base Monte Carlo: array failures, Woodbury rebases, and factored
+  // (triangular) solves per failure, from the obs counters.
+  std::uint64_t mcFailures = 0;
+  std::uint64_t mcRebases = 0;
+  double solvesPerFailure = 0.0;
   double parityMaxRelDiff = -1.0;  // -1: not measured at this size
   bool deterministicAcrossThreads = true;
   // EM-mode axis (DESIGN.md §5.14): the wire-EM audit is diagnostic-only,
@@ -143,11 +153,23 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
   }
 
   // End-to-end Monte Carlo, shared base.
+  auto& registry = obs::Registry::instance();
+  auto& solveCounter = registry.counter("cholesky.triangular_solves");
+  auto& failureCounter = registry.counter("grid_mc.array_failures");
+  auto& rebaseCounter = registry.counter("woodbury.rebases");
+  const std::uint64_t solves0 = solveCounter.value();
+  const std::uint64_t failures0 = failureCounter.value();
+  const std::uint64_t rebases0 = rebaseCounter.value();
   const GridMcOptions shared = mcOptions(sharedTrials, maxFailures);
   t0 = std::chrono::steady_clock::now();
   GridMcResult sharedResult = runGridMonteCarlo(model, shared);
   p.sharedTrials = sharedTrials;
   p.sharedSecondsPerTrial = seconds(t0) / sharedTrials;
+  p.mcFailures = failureCounter.value() - failures0;
+  p.mcRebases = rebaseCounter.value() - rebases0;
+  if (p.mcFailures > 0)
+    p.solvesPerFailure = static_cast<double>(solveCounter.value() - solves0) /
+                         static_cast<double>(p.mcFailures);
 
   // Baseline: identical physics, factorization per trial.
   const GridMcOptions base = mcOptions(baselineTrials, maxFailures);
@@ -218,6 +240,9 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"baseline_trials_measured\": " << p.baselineTrialsMeasured
      << ", \"baseline_seconds_per_trial\": " << p.baselineSecondsPerTrial
      << ", \"end_to_end_speedup\": " << p.speedup
+     << ", \"mc_array_failures\": " << p.mcFailures
+     << ", \"mc_rebases\": " << p.mcRebases
+     << ", \"solves_per_failure\": " << p.solvesPerFailure
      << ", \"parity_max_rel_diff\": " << p.parityMaxRelDiff
      << ", \"deterministic_across_threads\": "
      << (p.deterministicAcrossThreads ? "true" : "false")
@@ -269,7 +294,8 @@ int main(int argc, char** argv) {
               << " s, trial " << p.sharedSecondsPerTrial << " s vs baseline "
               << p.baselineSecondsPerTrial << " s ("
               << p.baselineTrialsMeasured << " trials) -> speedup "
-              << p.speedup << "x";
+              << p.speedup << "x, " << p.solvesPerFailure
+              << " solves/failure";
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";
@@ -291,9 +317,21 @@ int main(int argc, char** argv) {
 
   // Gates. Parity everywhere it was measured; a conservative speedup floor
   // in smoke mode, the paper-level 5x floor for the full sweep's largest
-  // mesh; determinism wherever the thread sweep ran.
+  // mesh; determinism wherever the thread sweep ran; at most one factored
+  // solve per array failure plus one per rebase.
   bool pass = true;
   for (const Point& p : points) {
+    const double solveBudget =
+        p.mcFailures > 0 ? 1.0 + static_cast<double>(p.mcRebases) /
+                                     static_cast<double>(p.mcFailures)
+                         : 0.0;
+    if (p.mcFailures == 0 || p.solvesPerFailure > solveBudget) {
+      std::cerr << "FAIL: " << p.solvesPerFailure
+                << " factored solves per array failure (budget "
+                << solveBudget << ", " << p.mcFailures
+                << " failures counted) at n=" << p.nodes << "\n";
+      pass = false;
+    }
     if (p.parityMaxRelDiff > 1e-10) {
       std::cerr << "FAIL: uplooking/supernodal parity " << p.parityMaxRelDiff
                 << " at n=" << p.nodes << "\n";

@@ -122,7 +122,7 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
 
   TripletMatrix triplets(unknownCount_, unknownCount_);
   triplets.reserve(4 * netlist.resistors().size() + 16);
-  rhs_.assign(static_cast<std::size_t>(unknownCount_), 0.0);
+  std::vector<double> rhs(static_cast<std::size_t>(unknownCount_), 0.0);
 
   for (const auto& r : netlist.resistors()) {
     VIADUCT_REQUIRE_MSG(r.ohms > 0.0,
@@ -135,8 +135,8 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
     const bool isVia = r.name.rfind(config_.viaArrayPrefix, 0) == 0;
     if (ia == kGroundNode && ib == kGroundNode) continue;  // pad-to-pad
     triplets.stampConductance(ia, ib, g);
-    if (ia == kGroundNode && ib >= 0) rhs_[ib] += g * va;
-    if (ib == kGroundNode && ia >= 0) rhs_[ia] += g * vb;
+    if (ia == kGroundNode && ib >= 0) rhs[ib] += g * va;
+    if (ib == kGroundNode && ia >= 0) rhs[ia] += g * vb;
     if (isVia) {
       VIADUCT_REQUIRE_MSG(
           ia >= 0 && ib >= 0,
@@ -150,17 +150,21 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
     const auto [in, vn] = reduced(c.negative);
     (void)vp;
     (void)vn;
-    if (ip >= 0) rhs_[ip] -= c.amps;
-    if (in >= 0) rhs_[in] += c.amps;
+    if (ip >= 0) rhs[ip] -= c.amps;
+    if (in >= 0) rhs[in] += c.amps;
   }
+  rhs_ = std::make_shared<const std::vector<double>>(std::move(rhs));
 
   conductance_ =
       std::make_shared<const CsrMatrix>(CsrMatrix::fromTriplets(triplets));
   nodeToUnknown_ = idx.toUnknown;
   nodeKnownVoltage_ = idx.knownVoltage;
   nodeIsKnown_ = idx.known;
-  if (config_.sharedBaseFactor)
+  if (config_.sharedBaseFactor) {
     baseFactor_ = buildBaseFactor(*conductance_, config_);
+    rhsBaseSolution_ =
+        std::make_shared<const std::vector<double>>(baseFactor_->solve(*rhs_));
+  }
   VIADUCT_DEBUG << "power grid: " << unknownCount_ << " unknowns, "
                 << viaArrays_.size() << " via arrays, Vdd=" << vdd_
                 << (baseFactor_ ? ", shared base factor" : "");
@@ -171,8 +175,10 @@ WoodburySolver PowerGridModel::makeSolver() const {
   opts.policy = config_.policy;
   opts.solver = config_.gridSolver;
   opts.ordering = config_.gridOrdering;
-  if (baseFactor_) return WoodburySolver(conductance_, baseFactor_, opts);
-  return WoodburySolver(*conductance_, opts);
+  if (baseFactor_)
+    return WoodburySolver(conductance_, baseFactor_, opts, rhs_,
+                          rhsBaseSolution_);
+  return WoodburySolver(*conductance_, opts, rhs_);
 }
 
 double PowerGridModel::nodeVoltage(Index netlistNode,
@@ -197,7 +203,7 @@ PowerGridModel::DcSolution PowerGridModel::evaluate(
   DcSolution sol;
   sol.pendingUpdates = solver.pendingUpdateCount();
   try {
-    sol.voltages = solver.solve(rhs_);
+    sol.voltages = solver.solveFixedRhs();
   } catch (const NumericalError& e) {
     VIADUCT_COUNTER_ADD("power_grid.solve_failures", 1);
     VIADUCT_DEBUG << "power grid DC solve failed (" << e.what()
@@ -238,7 +244,7 @@ PowerGridModel::DcSolution PowerGridModel::solveNominal() const {
 double PowerGridModel::kclResidual(const DcSolution& solution) const {
   VIADUCT_REQUIRE(solution.voltages.size() ==
                   static_cast<std::size_t>(unknownCount_));
-  return conductance_->residualNorm(solution.voltages, rhs_);
+  return conductance_->residualNorm(solution.voltages, *rhs_);
 }
 
 std::uint64_t PowerGridModel::structureDigest() const {
@@ -250,7 +256,7 @@ std::uint64_t PowerGridModel::structureDigest() const {
     os << site.name << ',' << site.a << ',' << site.b << ','
        << site.nominalOhms << ';';
   os << '|';
-  for (const double v : rhs_) os << v << ',';
+  for (const double v : *rhs_) os << v << ',';
   os << '|';
   for (const Index p : conductance_->rowPointers()) os << p << ',';
   os << '|';

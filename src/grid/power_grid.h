@@ -112,6 +112,10 @@ class PowerGridModel {
     /// (non-const for exactly that recovery path).
     DcSolution solve();
 
+    /// The session's incremental solver (tests compare solve() against
+    /// its general solve(rhs) path).
+    const WoodburySolver& solver() const { return solver_; }
+
    private:
     const PowerGridModel& model_;
     WoodburySolver solver_;
@@ -127,7 +131,7 @@ class PowerGridModel {
   /// exercises the real stamped system through these instead of a
   /// synthetic stand-in).
   const CsrMatrix& conductanceMatrix() const { return *conductance_; }
-  const std::vector<double>& rhsVector() const { return rhs_; }
+  const std::vector<double>& rhsVector() const { return *rhs_; }
 
   /// The shared base factorization (nullptr when sharedBaseFactor is off).
   std::shared_ptr<const SpdFactor> baseFactor() const { return baseFactor_; }
@@ -143,9 +147,10 @@ class PowerGridModel {
   DcSolution evaluate(const WoodburySolver& solver,
                       const std::vector<double>& arrayOhms) const;
 
-  /// A per-session/per-trial incremental solver. Shared-base mode adopts
-  /// the model's immutable factor (O(1)); otherwise the solver factors a
-  /// private copy like the legacy pipeline.
+  /// A per-session/per-trial incremental solver bound to rhs_. Shared-base
+  /// mode adopts the model's immutable factor and base solution (O(1));
+  /// otherwise the solver factors a private copy and solves rhs_ on it,
+  /// like the legacy pipeline.
   WoodburySolver makeSolver() const;
 
   PowerGridConfig config_;
@@ -155,7 +160,10 @@ class PowerGridModel {
   /// can alias it without copying.
   std::shared_ptr<const CsrMatrix> conductance_;
   std::shared_ptr<const SpdFactor> baseFactor_;
-  std::vector<double> rhs_;    // load + pad injections
+  /// Load + pad injections, and its solution on baseFactor_ (null when
+  /// sharedBaseFactor is off), solved once and shared by every Session.
+  std::shared_ptr<const std::vector<double>> rhs_;
+  std::shared_ptr<const std::vector<double>> rhsBaseSolution_;
   std::vector<ViaArraySite> viaArrays_;
   // Netlist-node -> reduced-system mapping (for nodeVoltage()).
   std::vector<Index> nodeToUnknown_;

@@ -8,20 +8,44 @@
 
 namespace viaduct {
 
-WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options)
-    : options_(options) {
+namespace {
+
+/// Below this magnitude a branch's accumulated delta has cancelled: its
+/// capacitance diagonal 1/Δg would be unbounded, so it leaves the update set.
+constexpr double kCancelledDelta = 1e-300;
+
+}  // namespace
+
+WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options,
+                               std::shared_ptr<const std::vector<double>> rhs)
+    : options_(options), rhs_(std::move(rhs)) {
   VIADUCT_REQUIRE(g0.rows() == g0.cols());
+  VIADUCT_REQUIRE(!rhs_ || rhs_->size() == static_cast<std::size_t>(g0.rows()));
   base_ = std::make_shared<const CsrMatrix>(std::move(g0));
   sharedBase_ = buildSpdFactor(*base_, options_.solver, options_.ordering);
+  if (rhs_)
+    rhsBaseSolution_ =
+        std::make_shared<const std::vector<double>>(sharedBase_->solve(*rhs_));
 }
 
-WoodburySolver::WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                               std::shared_ptr<const SpdFactor> baseFactor,
-                               const Options& options)
-    : options_(options), base_(std::move(g0)), sharedBase_(std::move(baseFactor)) {
+WoodburySolver::WoodburySolver(
+    std::shared_ptr<const CsrMatrix> g0,
+    std::shared_ptr<const SpdFactor> baseFactor, const Options& options,
+    std::shared_ptr<const std::vector<double>> rhs,
+    std::shared_ptr<const std::vector<double>> rhsBaseSolution)
+    : options_(options),
+      base_(std::move(g0)),
+      sharedBase_(std::move(baseFactor)),
+      rhs_(std::move(rhs)),
+      rhsBaseSolution_(std::move(rhsBaseSolution)) {
   VIADUCT_REQUIRE(base_ != nullptr && sharedBase_ != nullptr);
   VIADUCT_REQUIRE(base_->rows() == base_->cols() &&
                   sharedBase_->size() == base_->rows());
+  VIADUCT_REQUIRE_MSG((rhs_ == nullptr) == (rhsBaseSolution_ == nullptr),
+                      "a bound right-hand side needs its base solution");
+  VIADUCT_REQUIRE(!rhs_ ||
+                  (rhs_->size() == static_cast<std::size_t>(base_->rows()) &&
+                   rhsBaseSolution_->size() == rhs_->size()));
   // The owning constructor factors here and so consumes one decision from
   // the cholesky.factor fault stream per solver. Adopting a shared factor
   // skips the factorization but must keep that per-solver stream alignment
@@ -87,7 +111,19 @@ std::vector<double> WoodburySolver::incidenceSolve(Index i, Index j) const {
 }
 
 void WoodburySolver::foldIntoFactor() {
-  privateFactor_ = activeFactor().refactored(currentMatrix());
+  std::unique_ptr<SpdFactor> folded = activeFactor().refactored(currentMatrix());
+  if (rhs_)
+    rhsBaseSolution_ =
+        std::make_shared<const std::vector<double>>(folded->solve(*rhs_));
+  privateFactor_ = std::move(folded);
+}
+
+void WoodburySolver::dropBranch(std::size_t index) {
+  const Branch& b = branches_[index];
+  branchIndex_.erase({b.i, b.j});
+  branches_.erase(branches_.begin() + static_cast<std::ptrdiff_t>(index));
+  for (auto& [key, slot] : branchIndex_)
+    if (slot > index) --slot;
 }
 
 void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
@@ -111,9 +147,13 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
     }
     const auto key = std::make_pair(i, j);
     if (const auto it = branchIndex_.find(key); it != branchIndex_.end()) {
-      branches_[it->second].deltaG += deltaG;
-      // A delta that cancels back to (near) zero keeps its column; harmless.
-    } else {
+      Branch& b = branches_[it->second];
+      b.deltaG += deltaG;
+      // A delta that cancels back to zero leaves the branch unchanged
+      // relative to the base; order-preserving removal keeps every solve
+      // identical to one that never saw the branch.
+      if (std::abs(b.deltaG) <= kCancelledDelta) dropBranch(it->second);
+    } else if (std::abs(deltaG) > kCancelledDelta) {
       Branch b;
       b.i = i;
       b.j = j;
@@ -150,21 +190,35 @@ void WoodburySolver::rebase() {
   ++rebases_;
 }
 
-std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
+void WoodburySolver::startSolve() const {
   if (fault::shouldInject("woodbury.solve")) {
     throw NumericalError("Woodbury solve failed (injected fault)");
   }
   VIADUCT_COUNTER_ADD("woodbury.solves", 1);
   VIADUCT_HISTOGRAM_OBSERVE("woodbury.pending_updates", branches_.size(),
                             obs::Buckets::linear(0, 8, 16));
-  std::vector<double> x = activeFactor().solve(b);
+}
+
+std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
+  startSolve();
+  return applyUpdates(activeFactor().solve(b));
+}
+
+std::vector<double> WoodburySolver::solveFixedRhs() const {
+  VIADUCT_REQUIRE_MSG(rhsBaseSolution_ != nullptr,
+                      "no fixed right-hand side bound");
+  startSolve();
+  return applyUpdates(*rhsBaseSolution_);
+}
+
+std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
   const std::size_t k = branches_.size();
   if (k == 0) return x;
 
   // Capacitance matrix C = D⁻¹ + Uᵀ Z, with (Uᵀ Z)[m][l] = aₘᵀ z_l.
   DenseMatrix c(k, k);
   for (std::size_t m = 0; m < k; ++m) {
-    VIADUCT_CHECK_MSG(std::abs(branches_[m].deltaG) > 1e-300,
+    VIADUCT_CHECK_MSG(std::abs(branches_[m].deltaG) > kCancelledDelta,
                       "zero-delta branch in update set");
     for (std::size_t l = 0; l < k; ++l) {
       const Branch& bm = branches_[m];

@@ -7,18 +7,23 @@
 // (U columns are ±1 incidence vectors of the changed branches, D the
 // conductance deltas),
 //   G⁻¹ b = G0⁻¹ b − Z (D⁻¹ + Uᵀ Z)⁻¹ Zᵀ b,   Z = G0⁻¹ U,
-// so each *new* failed branch costs one factored solve (to extend Z) and
-// each voltage evaluation costs one factored solve plus a dense k×k solve,
-// where k is the number of distinct changed branches so far. When k exceeds
-// `rebaseThreshold`, the updates are folded into G0 and the matrix is
-// re-factored numerically (symbolic analysis reused).
+// so each *new* failed branch costs one factored solve (to extend Z), where
+// k is the number of distinct changed branches so far. A general solve(b)
+// adds one factored solve (G0⁻¹ b) plus a dense k×k solve. The grid's
+// right-hand side never changes, so it can be bound once: its base solution
+// x0 = G0⁻¹ b is computed once per base factor and solveFixedRhs() costs
+// only the dense k×k solve and x0 − Z·y — no factored solve at all. When k
+// exceeds `rebaseThreshold`, the updates are folded into G0 and the matrix
+// is re-factored numerically (symbolic analysis reused); the fold re-solves
+// x0 exactly once on the new factor.
 //
 // Two ownership modes:
 //  - Owning (legacy): the solver copies G0 and factors it itself.
 //  - Shared-base: the solver borrows an immutable factorization of G0 built
 //    once (e.g. per PowerGridModel) and shared by every Monte Carlo trial
-//    on every thread. Construction is then O(1); the solver never touches
-//    the shared factor, promoting to a private clone (refactored(), which
+//    on every thread, together with the bound right-hand side's base
+//    solution. Construction is then O(1); the solver never touches the
+//    shared factor, promoting to a private clone (refactored(), which
 //    reuses the shared symbolic analysis) only if it has to rebase.
 #pragma once
 
@@ -52,19 +57,28 @@ class WoodburySolver {
     fault::FailurePolicy policy;
   };
 
-  /// Owning mode: `g0` must be SPD; it is copied and factored here.
+  /// Owning mode: `g0` must be SPD; it is copied and factored here. A
+  /// non-null `rhs` binds the right-hand side of solveFixedRhs(); its base
+  /// solution is computed right after the factorization.
   explicit WoodburySolver(CsrMatrix g0) : WoodburySolver(std::move(g0), Options{}) {}
-  WoodburySolver(CsrMatrix g0, const Options& options);
+  WoodburySolver(CsrMatrix g0, const Options& options,
+                 std::shared_ptr<const std::vector<double>> rhs = nullptr);
 
   /// Shared-base mode: `baseFactor` is a factorization of `*g0`, built once
   /// and shared across solvers/threads; it is never mutated through this
-  /// class. Construction performs no factorization work.
+  /// class. A non-null `rhs` binds the right-hand side of solveFixedRhs()
+  /// and must come with `rhsBaseSolution` = `baseFactor`⁻¹·`rhs`, computed
+  /// once by the factor's owner and shared the same way. Construction
+  /// performs no factorization or solve work.
   WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
                  std::shared_ptr<const SpdFactor> baseFactor)
       : WoodburySolver(std::move(g0), std::move(baseFactor), Options{}) {}
   WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
                  std::shared_ptr<const SpdFactor> baseFactor,
-                 const Options& options);
+                 const Options& options,
+                 std::shared_ptr<const std::vector<double>> rhs = nullptr,
+                 std::shared_ptr<const std::vector<double>> rhsBaseSolution =
+                     nullptr);
 
   Index size() const { return base_->rows(); }
 
@@ -78,6 +92,11 @@ class WoodburySolver {
 
   /// Solves G x = b with the current accumulated updates.
   std::vector<double> solve(std::span<const double> b) const;
+
+  /// Solves G x = rhs for the bound right-hand side, starting from its
+  /// cached base solution: no factored solve, and bit-identical to
+  /// solve(rhs). Requires a constructor that bound an `rhs`.
+  std::vector<double> solveFixedRhs() const;
 
   /// Number of distinct branches currently tracked as low-rank updates
   /// (zero right after construction or a rebase).
@@ -112,13 +131,23 @@ class WoodburySolver {
   }
 
   void recordDelta(Index i, Index j, double deltaG);
+  void dropBranch(std::size_t index);
   void foldIntoFactor();
   std::vector<double> incidenceSolve(Index i, Index j) const;
+  /// The per-solve prologue: the woodbury.solve fault site and counters.
+  void startSolve() const;
+  /// x − Z·C⁻¹·Uᵀx for the pending updates: turns a base-factor solution
+  /// into one of the current matrix.
+  std::vector<double> applyUpdates(std::vector<double> x) const;
 
   Options options_;
   std::shared_ptr<const CsrMatrix> base_;        // matrix at construction
   std::shared_ptr<const SpdFactor> sharedBase_;  // factorization of *base_
   std::unique_ptr<SpdFactor> privateFactor_;     // after the first rebase
+  /// The bound right-hand side and its solution on activeFactor() (both
+  /// null when none is bound); re-solved by every fold.
+  std::shared_ptr<const std::vector<double>> rhs_;
+  std::shared_ptr<const std::vector<double>> rhsBaseSolution_;
 
   /// Accumulated branch deltas relative to *base_ (canonical keys), and the
   /// lazily materialized current matrix (base_ plus those deltas).

@@ -1,10 +1,15 @@
 // Level-2 shared-base engine tests: the synthetic mesh generator, the
 // immutable shared base factorization behind every Session, supernodal vs
 // up-looking session parity, thread-count bit-identity of the grid Monte
-// Carlo, and the grid.base_factor / cholesky.supernodal_factor fault sites.
+// Carlo, the grid.base_factor / cholesky.supernodal_factor fault sites, and
+// the cached base solution behind Session::solve() (bit-identity with the
+// general solve path, one factored solve per array failure).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <vector>
 
 #include "common/check.h"
@@ -15,6 +20,7 @@
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "numerics/supernodal_cholesky.h"
+#include "obs/obs.h"
 
 namespace viaduct {
 namespace {
@@ -77,6 +83,129 @@ void compareSessions(const PowerGridModel& a, const PowerGridModel& b,
           << "node " << i << " after step " << s;
     EXPECT_NEAR(va.worstIrDropFraction, vb.worstIrDropFraction, tol);
   }
+}
+
+/// Opens `failures` distinct arrays in a seeded order. After the healthy
+/// start and after every failure, Session::solve() (the cached base
+/// solution) must equal bit-for-bit the general solve(rhs) path of the
+/// same session solver. `beforeFailure(s)` runs before failure s opens its
+/// array (e.g. to arm a fault; every site is disarmed again before the
+/// general-path solve). Returns the session's rebase count.
+template <typename BeforeFailure>
+int expectSessionSolvesMatchGeneralPath(const PowerGridModel& model,
+                                        int failures, std::uint64_t seed,
+                                        BeforeFailure beforeFailure) {
+  std::vector<int> order(model.viaArrays().size());
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(seed));
+  EXPECT_LE(static_cast<std::size_t>(failures), order.size());
+
+  PowerGridModel::Session session(model);
+  const auto healthy = session.solve();
+  EXPECT_TRUE(healthy.solverOk);
+  EXPECT_TRUE(healthy.voltages == session.solver().solve(model.rhsVector()))
+      << "healthy start";
+  for (int s = 0; s < failures; ++s) {
+    beforeFailure(s);
+    session.openArray(order[static_cast<std::size_t>(s)]);
+    const auto sol = session.solve();
+    fault::Registry::instance().disarmAll();
+    EXPECT_TRUE(sol.solverOk) << "after failure " << s;
+    EXPECT_TRUE(sol.voltages == session.solver().solve(model.rhsVector()))
+        << "after failure " << s;
+  }
+  return session.solver().rebaseCount();
+}
+
+int expectSessionSolvesMatchGeneralPath(const PowerGridModel& model,
+                                        int failures, std::uint64_t seed) {
+  return expectSessionSolvesMatchGeneralPath(model, failures, seed,
+                                             [](int) {});
+}
+
+TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathAcrossRebase) {
+  // 55 opens exceed the default rebase threshold (48 pending branches):
+  // the fold re-solves the base solution on the private factor.
+  const PowerGridModel model(tunedMesh(smallSpec()), supernodalConfig());
+  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, 55, 13), 1);
+}
+
+TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathThroughUpdateFold) {
+  // A rejected woodbury.update is folded into a fresh factor
+  // (refactorOnWoodburyFailure) instead of extending Z.
+  const PowerGridModel model(tunedMesh(smallSpec()), PowerGridConfig{});
+  const int rebases =
+      expectSessionSolvesMatchGeneralPath(model, 10, 17, [](int s) {
+        if (s == 4)
+          fault::Registry::instance().arm("woodbury.update", {.nth = 1});
+      });
+  EXPECT_EQ(fault::Registry::instance().fireCount("woodbury.update"), 1u);
+  EXPECT_EQ(rebases, 1);
+}
+
+TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathThroughSolveRetry) {
+  // A failed incremental solve with pending updates: Session::solve()
+  // rebases and retries once, and the retry reads the re-solved base.
+  const PowerGridModel model(tunedMesh(smallSpec()), PowerGridConfig{});
+  const int rebases =
+      expectSessionSolvesMatchGeneralPath(model, 8, 19, [](int s) {
+        if (s == 3)
+          fault::Registry::instance().arm("woodbury.solve", {.nth = 1});
+      });
+  EXPECT_EQ(fault::Registry::instance().fireCount("woodbury.solve"), 1u);
+  EXPECT_EQ(rebases, 1);
+}
+
+TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathWithoutSharedBase) {
+  // sharedBaseFactor=false: each session factors privately and computes
+  // its own base solution on that factor, through the same code path.
+  PowerGridConfig off = supernodalConfig();
+  off.sharedBaseFactor = false;
+  const PowerGridModel model(tunedMesh(smallSpec()), off);
+  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, 55, 23), 1);
+}
+
+TEST_F(GridSharedBaseTest, GridMcIssuesOneFactoredSolvePerFailure) {
+  // Solve budget: F array failures and R rebases cost exactly F + R
+  // factored solves beyond the model's one base solve — each failure's
+  // incidence column and each fold's base solution; healthy starts and
+  // re-solves reuse the cached base solution.
+  obs::setEnabled(true);
+  auto& registry = obs::Registry::instance();
+  auto& solves = registry.counter("cholesky.triangular_solves");
+  auto& failures = registry.counter("grid_mc.array_failures");
+  auto& rebases = registry.counter("woodbury.rebases");
+  // 61 arrays per stripe: the 52 opens of a trial cannot cut a stripe off
+  // its straps, so no trial breaches before the cap.
+  MeshSpec spec;
+  spec.rows = 10;
+  spec.cols = 121;
+  spec.viaPitch = 2;
+  spec.padPitch = 4;
+  const Netlist net = tunedMesh(spec);
+  const std::uint64_t s0 = solves.value();
+  const std::uint64_t f0 = failures.value();
+  const std::uint64_t r0 = rebases.value();
+
+  const PowerGridModel model(net, supernodalConfig());
+  EXPECT_EQ(solves.value() - s0, 1u);
+  GridMcOptions opts;
+  opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
+  opts.referenceCurrentAmps = 0.01;
+  opts.trials = 4;
+  opts.seed = 5;
+  // A criterion no opening sequence reaches, so every trial runs to the
+  // cap and crosses the default rebase threshold (48) once.
+  opts.systemCriterion.irDropFraction = 0.999;
+  opts.maxFailuresPerTrial = 52;
+  const auto result = runGridMonteCarlo(model, opts);
+  ASSERT_EQ(result.ttfSamples.size(), 4u);
+
+  const std::uint64_t f = failures.value() - f0;
+  const std::uint64_t r = rebases.value() - r0;
+  EXPECT_EQ(f, 4u * 52u);
+  EXPECT_EQ(r, 4u);
+  EXPECT_EQ(solves.value() - s0, 1u + f + r);
 }
 
 TEST_F(GridSharedBaseTest, MeshSpecHitsNodeTargets) {

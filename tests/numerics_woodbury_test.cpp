@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "numerics/cholesky.h"
+#include "obs/obs.h"
 
 namespace viaduct {
 namespace {
@@ -86,6 +89,131 @@ TEST(WoodburySolver, RepeatedUpdateOfSameBranchAccumulates) {
   const auto x = w.solve(b);
   const auto ref = referenceSolve(w.currentMatrix(), b);
   for (std::size_t k = 0; k < 25; ++k) EXPECT_NEAR(x[k], ref[k], 1e-9);
+}
+
+TEST(WoodburySolver, CancelledDeltaLeavesTheUpdateSet) {
+  // Regression: two deltas summing to exactly zero used to leave the branch
+  // in the update set, and the next solve threw "zero-delta branch in
+  // update set".
+  const CsrMatrix g = gridConductance(5, 5);
+  std::vector<double> b(25, 0.5);
+  WoodburySolver w(g);
+  w.updateBranch(2, 3, -0.25);
+  w.updateBranch(2, 3, +0.25);
+  EXPECT_EQ(w.pendingUpdateCount(), 0);
+  EXPECT_EQ(w.solve(b), WoodburySolver(g).solve(b));
+}
+
+TEST(WoodburySolver, CancelledBranchAmongOthersSolvesAsIfNeverSeen) {
+  const CsrMatrix g = gridConductance(5, 5);
+  std::vector<double> b(25, 0.5);
+  WoodburySolver w(g), never(g);
+  w.updateBranch(0, 1, -0.3);
+  w.updateBranch(2, 3, -0.25);
+  w.updateBranch(7, 8, -0.4);
+  w.updateBranch(3, 2, +0.25);
+  never.updateBranch(0, 1, -0.3);
+  never.updateBranch(7, 8, -0.4);
+  EXPECT_EQ(w.pendingUpdateCount(), 2);
+  // Order-preserving removal: bit-identical, not merely close.
+  EXPECT_EQ(w.solve(b), never.solve(b));
+  // The branch can be updated again afterwards.
+  w.updateBranch(2, 3, -0.1);
+  EXPECT_EQ(w.pendingUpdateCount(), 3);
+  const auto x = w.solve(b);
+  const auto ref = referenceSolve(w.currentMatrix(), b);
+  for (std::size_t k = 0; k < 25; ++k) EXPECT_NEAR(x[k], ref[k], 1e-9);
+}
+
+TEST(WoodburySolver, ZeroDeltaOnANewBranchIsIgnored) {
+  const CsrMatrix g = gridConductance(5, 5);
+  std::vector<double> b(25, 0.5);
+  WoodburySolver w(g);
+  w.updateBranch(2, 3, 0.0);
+  EXPECT_EQ(w.pendingUpdateCount(), 0);
+  EXPECT_EQ(w.solve(b), WoodburySolver(g).solve(b));
+}
+
+TEST(WoodburySolver, FixedRhsMatchesGeneralSolveBitForBit) {
+  // Owning mode binds the right-hand side and solves its base solution
+  // after factoring; every fold re-solves it on the new factor. At every
+  // step the cached path must reproduce solve(rhs) exactly.
+  const CsrMatrix g = gridConductance(8, 8);
+  Rng rng(67);
+  auto rhs = std::make_shared<std::vector<double>>(64);
+  for (auto& v : *rhs) v = rng.uniform(0.0, 1.0);
+  WoodburySolver::Options opts;
+  opts.rebaseThreshold = 3;
+  WoodburySolver w(g, opts, rhs);
+  EXPECT_EQ(w.solveFixedRhs(), w.solve(*rhs));
+  const std::vector<std::pair<Index, Index>> branches = {
+      {0, 1}, {9, 10}, {20, 28}, {45, 46}, {17, 25}, {33, 34}, {50, 58}};
+  for (const auto& [i, j] : branches) {
+    w.updateBranch(i, j, -0.6);
+    EXPECT_EQ(w.solveFixedRhs(), w.solve(*rhs)) << "after " << i << "-" << j;
+  }
+  EXPECT_EQ(w.rebaseCount(), 1);
+  w.rebase();
+  EXPECT_EQ(w.rebaseCount(), 2);
+  EXPECT_EQ(w.solveFixedRhs(), w.solve(*rhs));
+}
+
+TEST(WoodburySolver, SharedBaseSolutionIsReusedUntilTheFold) {
+  const auto g = std::make_shared<const CsrMatrix>(gridConductance(6, 6));
+  std::shared_ptr<const SpdFactor> factor =
+      buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
+  auto rhs = std::make_shared<const std::vector<double>>(36, 0.25);
+  auto x0 = std::make_shared<const std::vector<double>>(factor->solve(*rhs));
+  WoodburySolver w(g, factor, WoodburySolver::Options{}, rhs, x0);
+  EXPECT_EQ(w.solveFixedRhs(), *x0);
+  w.updateBranch(1, 2, -0.4);
+  w.updateBranch(8, 14, -0.9);
+  EXPECT_EQ(w.solveFixedRhs(), w.solve(*rhs));
+  w.rebase();
+  EXPECT_FALSE(w.usesSharedBase());
+  EXPECT_EQ(w.solveFixedRhs(), w.solve(*rhs));
+  const auto ref = referenceSolve(w.currentMatrix(), *rhs);
+  const auto x = w.solveFixedRhs();
+  for (std::size_t k = 0; k < 36; ++k) EXPECT_NEAR(x[k], ref[k], 1e-9);
+}
+
+TEST(WoodburySolver, FixedRhsNeedsABinding) {
+  const auto g = std::make_shared<const CsrMatrix>(gridConductance(4, 4));
+  EXPECT_THROW(WoodburySolver(*g).solveFixedRhs(), PreconditionError);
+  std::shared_ptr<const SpdFactor> factor =
+      buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
+  auto rhs = std::make_shared<const std::vector<double>>(16, 1.0);
+  // A shared-base solver must be handed the base solution with the rhs.
+  EXPECT_THROW(WoodburySolver(g, factor, WoodburySolver::Options{}, rhs),
+               PreconditionError);
+  auto wrongSize = std::make_shared<const std::vector<double>>(15, 1.0);
+  EXPECT_THROW(WoodburySolver(*g, WoodburySolver::Options{}, wrongSize),
+               PreconditionError);
+}
+
+TEST(WoodburySolver, FactoredSolveBudget) {
+  // One factored solve per new branch (its z column) and one per fold (the
+  // bound rhs); solveFixedRhs() itself costs none.
+  obs::setEnabled(true);
+  auto& solves = obs::Registry::instance().counter("cholesky.triangular_solves");
+  const CsrMatrix g = gridConductance(6, 6);
+  auto rhs = std::make_shared<const std::vector<double>>(36, 0.25);
+  WoodburySolver::Options opts;
+  opts.rebaseThreshold = 2;
+  const std::uint64_t before = solves.value();
+  WoodburySolver w(g, opts, rhs);
+  EXPECT_EQ(solves.value() - before, 1u);  // the base solution
+  (void)w.solveFixedRhs();
+  EXPECT_EQ(solves.value() - before, 1u);
+  w.updateBranch(1, 2, -0.4);
+  w.updateBranch(8, 14, -0.9);
+  (void)w.solveFixedRhs();
+  EXPECT_EQ(solves.value() - before, 3u);
+  w.updateBranch(20, 21, -0.2);  // third branch exceeds the threshold: fold
+  EXPECT_EQ(w.rebaseCount(), 1);
+  EXPECT_EQ(solves.value() - before, 5u);
+  (void)w.solveFixedRhs();
+  EXPECT_EQ(solves.value() - before, 5u);
 }
 
 TEST(WoodburySolver, EndpointOrderIrrelevant) {

@@ -15,8 +15,10 @@
 #      characterization (exit is nonzero on mismatch, never on timing);
 #   7. the perf_grid_scale smoke: the level-2 shared-base supernodal engine
 #      on a ~1e4-node synthetic mesh — asserts up-looking/supernodal voltage
-#      parity, thread-count bit-identity, and a floor on the shared-base
-#      speedup over factorization-per-trial (exit is nonzero on any miss);
+#      parity, thread-count bit-identity, a floor on the shared-base
+#      speedup over factorization-per-trial, and at most one factored solve
+#      per array failure plus one per rebase (`solves_per_failure` in
+#      BENCH_grid_scale.json; exit is nonzero on any miss);
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + HTTP listener + a scraper thread) must
 #      stay within the telemetry overhead budget and keep ttfSamples
@@ -109,8 +111,8 @@ echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
 echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
-# Parity, determinism, and speedup gates on the smallest mesh; the full
-# 1e4 -> 1e6 sweep is the same binary without --smoke.
+# Parity, determinism, speedup and solves-per-failure gates on the smallest
+# mesh; the full 1e4 -> 1e6 sweep is the same binary without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
 echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
