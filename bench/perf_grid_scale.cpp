@@ -11,8 +11,10 @@
 //     large sizes and reported per-trial; `baseline_trials_measured` records
 //     exactly how many trials the baseline number averages.
 // It also counts the factored solves of the shared-base Monte Carlo per
-// array failure (one incidence column each, plus one per rebase; the fixed
-// right-hand side reuses the model's cached base solution), cross-checks
+// array failure (at most one incidence column each — none when the model's
+// column cache already holds it — plus one per rebase; the fixed
+// right-hand side reuses the model's cached base solution), reports the
+// column cache's hit ratio, cross-checks
 // healthy-grid voltages between up-looking+RCM and
 // supernodal+AMD at the sizes where the banded factor is still tractable,
 // and verifies the shared-base Monte Carlo is bit-identical across thread
@@ -55,11 +57,13 @@ struct Point {
   int baselineTrialsMeasured = 0;
   double baselineSecondsPerTrial = 0.0;
   double speedup = 0.0;
-  // Shared-base Monte Carlo: array failures, Woodbury rebases, and factored
-  // (triangular) solves per failure, from the obs counters.
+  // Shared-base Monte Carlo: array failures, Woodbury rebases, factored
+  // (triangular) solves per failure, and the share of incidence columns
+  // read from the model's column cache, from the obs counters.
   std::uint64_t mcFailures = 0;
   std::uint64_t mcRebases = 0;
   double solvesPerFailure = 0.0;
+  double columnHitRatio = 0.0;
   double parityMaxRelDiff = -1.0;  // -1: not measured at this size
   bool deterministicAcrossThreads = true;
   // EM-mode axis (DESIGN.md §5.14): the wire-EM audit is diagnostic-only,
@@ -157,9 +161,13 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
   auto& solveCounter = registry.counter("cholesky.triangular_solves");
   auto& failureCounter = registry.counter("grid_mc.array_failures");
   auto& rebaseCounter = registry.counter("woodbury.rebases");
+  auto& hitCounter = registry.counter("woodbury.column_cache_hits");
+  auto& missCounter = registry.counter("woodbury.column_cache_misses");
   const std::uint64_t solves0 = solveCounter.value();
   const std::uint64_t failures0 = failureCounter.value();
   const std::uint64_t rebases0 = rebaseCounter.value();
+  const std::uint64_t hits0 = hitCounter.value();
+  const std::uint64_t misses0 = missCounter.value();
   const GridMcOptions shared = mcOptions(sharedTrials, maxFailures);
   t0 = std::chrono::steady_clock::now();
   GridMcResult sharedResult = runGridMonteCarlo(model, shared);
@@ -170,6 +178,11 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
   if (p.mcFailures > 0)
     p.solvesPerFailure = static_cast<double>(solveCounter.value() - solves0) /
                          static_cast<double>(p.mcFailures);
+  const std::uint64_t hits = hitCounter.value() - hits0;
+  const std::uint64_t lookups = hits + missCounter.value() - misses0;
+  if (lookups > 0)
+    p.columnHitRatio =
+        static_cast<double>(hits) / static_cast<double>(lookups);
 
   // Baseline: identical physics, factorization per trial.
   const GridMcOptions base = mcOptions(baselineTrials, maxFailures);
@@ -243,6 +256,7 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"mc_array_failures\": " << p.mcFailures
      << ", \"mc_rebases\": " << p.mcRebases
      << ", \"solves_per_failure\": " << p.solvesPerFailure
+     << ", \"column_hit_ratio\": " << p.columnHitRatio
      << ", \"parity_max_rel_diff\": " << p.parityMaxRelDiff
      << ", \"deterministic_across_threads\": "
      << (p.deterministicAcrossThreads ? "true" : "false")
@@ -295,7 +309,7 @@ int main(int argc, char** argv) {
               << p.baselineSecondsPerTrial << " s ("
               << p.baselineTrialsMeasured << " trials) -> speedup "
               << p.speedup << "x, " << p.solvesPerFailure
-              << " solves/failure";
+              << " solves/failure, column hit ratio " << p.columnHitRatio;
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";

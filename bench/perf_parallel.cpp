@@ -4,6 +4,9 @@
 // JSON report (BENCH_parallel.json) for CI trend tracking, and fails
 // (nonzero exit) if any thread count changes the Monte Carlo samples:
 // determinism across thread counts is part of the contract being measured.
+// With a single hardware thread the speedups measure time-slicing, not
+// scaling: the report then carries "conclusive": false and the summary says
+// so (determinism is still checked).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -88,6 +91,9 @@ int main(int argc, char** argv) {
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
 
+  // One hardware thread cannot show parallel speedup; its timings must not
+  // be read as a scaling result.
+  const bool conclusive = ThreadPool::hardwareConcurrency() > 1;
   std::cout << "=== perf_parallel: deterministic scaling ("
             << ThreadPool::hardwareConcurrency() << " hardware threads) ===\n";
 
@@ -208,6 +214,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   os << "{\n  \"hardware_concurrency\": " << ThreadPool::hardwareConcurrency()
+     << ",\n  \"conclusive\": " << (conclusive ? "true" : "false")
      << ",\n  \"mc_trials\": " << trials
      << ",\n  \"deterministic_across_thread_counts\": "
      << (deterministic ? "true" : "false") << ",\n";
@@ -224,6 +231,10 @@ int main(int argc, char** argv) {
      << ", \"bit_identical\": " << (obsBitIdentical ? "true" : "false")
      << "}\n}\n";
   std::cout << "wrote " << out << "\n";
+  if (!conclusive) {
+    std::cout << "inconclusive: 1 hardware thread, so the speedups above are "
+                 "not a scaling result (\"conclusive\": false)\n";
+  }
 
   if (!deterministic) {
     std::cerr << "FAIL: Monte Carlo samples differ across thread counts\n";

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"via (row,col)", "sigma_T [MPa]", "I share [%]"});
   for (std::size_t i = 0; i < ch.sigmaT().size(); ++i) {
-    const auto& v = ch.structure().vias[i];
+    const auto& v = ch.vias()[i];
     table.addRow({"(" + std::to_string(v.row) + "," + std::to_string(v.col) +
                       (v.interior ? ") int" : ")"),
                   TextTable::num(ch.sigmaT()[i] / units::MPa, 1),

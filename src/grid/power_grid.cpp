@@ -164,6 +164,8 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
     baseFactor_ = buildBaseFactor(*conductance_, config_);
     rhsBaseSolution_ =
         std::make_shared<const std::vector<double>>(baseFactor_->solve(*rhs_));
+    columnCache_ = std::make_shared<IncidenceColumnCache>(
+        IncidenceColumnCache::budgetFor(*baseFactor_));
   }
   VIADUCT_DEBUG << "power grid: " << unknownCount_ << " unknowns, "
                 << viaArrays_.size() << " via arrays, Vdd=" << vdd_
@@ -176,8 +178,12 @@ WoodburySolver PowerGridModel::makeSolver() const {
   opts.solver = config_.gridSolver;
   opts.ordering = config_.gridOrdering;
   if (baseFactor_)
-    return WoodburySolver(conductance_, baseFactor_, opts, rhs_,
-                          rhsBaseSolution_);
+    return WoodburySolver({.g0 = conductance_,
+                           .factor = baseFactor_,
+                           .rhs = rhs_,
+                           .rhsBaseSolution = rhsBaseSolution_,
+                           .columns = columnCache_},
+                          opts);
   return WoodburySolver(*conductance_, opts, rhs_);
 }
 

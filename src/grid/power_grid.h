@@ -136,6 +136,12 @@ class PowerGridModel {
   /// The shared base factorization (nullptr when sharedBaseFactor is off).
   std::shared_ptr<const SpdFactor> baseFactor() const { return baseFactor_; }
 
+  /// The incidence columns solved on baseFactor() by every Session so far
+  /// (nullptr when sharedBaseFactor is off).
+  std::shared_ptr<const IncidenceColumnCache> columnCache() const {
+    return columnCache_;
+  }
+
   /// Stable digest of the full electrical system (reduced conductance
   /// matrix, loads, Vdd, via-array sites). Two models with the same digest
   /// produce the same Monte Carlo trials; used to key checkpoint snapshots
@@ -148,9 +154,9 @@ class PowerGridModel {
                       const std::vector<double>& arrayOhms) const;
 
   /// A per-session/per-trial incremental solver bound to rhs_. Shared-base
-  /// mode adopts the model's immutable factor and base solution (O(1));
-  /// otherwise the solver factors a private copy and solves rhs_ on it,
-  /// like the legacy pipeline.
+  /// mode adopts the model's immutable factor, base solution and column
+  /// cache (O(1)); otherwise the solver factors a private copy and solves
+  /// rhs_ on it, like the legacy pipeline.
   WoodburySolver makeSolver() const;
 
   PowerGridConfig config_;
@@ -164,6 +170,10 @@ class PowerGridModel {
   /// sharedBaseFactor is off), solved once and shared by every Session.
   std::shared_ptr<const std::vector<double>> rhs_;
   std::shared_ptr<const std::vector<double>> rhsBaseSolution_;
+  /// Incidence columns solved on baseFactor_, shared by every Session the
+  /// same way; bounded by the factor's own storage (null with no shared
+  /// base).
+  std::shared_ptr<IncidenceColumnCache> columnCache_;
   std::vector<ViaArraySite> viaArrays_;
   // Netlist-node -> reduced-system mapping (for nodeVoltage()).
   std::vector<Index> nodeToUnknown_;

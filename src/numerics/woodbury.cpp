@@ -28,16 +28,42 @@ WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options,
         std::make_shared<const std::vector<double>>(sharedBase_->solve(*rhs_));
 }
 
-WoodburySolver::WoodburySolver(
-    std::shared_ptr<const CsrMatrix> g0,
-    std::shared_ptr<const SpdFactor> baseFactor, const Options& options,
-    std::shared_ptr<const std::vector<double>> rhs,
-    std::shared_ptr<const std::vector<double>> rhsBaseSolution)
+std::size_t IncidenceColumnCache::budgetFor(const SpdFactor& factor) {
+  return factor.factorNonZeroCount() * (sizeof(double) + sizeof(Index));
+}
+
+IncidenceColumnCache::Column IncidenceColumnCache::find(Index i,
+                                                        Index j) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = columns_.find({i, j});
+  return it == columns_.end() ? nullptr : it->second;
+}
+
+void IncidenceColumnCache::insert(Index i, Index j, Column column) {
+  const std::size_t columnBytes = column->size() * sizeof(double);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (bytes_ + columnBytes > byteBudget_) return;
+  if (columns_.try_emplace({i, j}, std::move(column)).second)
+    bytes_ += columnBytes;
+}
+
+std::size_t IncidenceColumnCache::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return columns_.size();
+}
+
+std::size_t IncidenceColumnCache::bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
+WoodburySolver::WoodburySolver(SharedBase base, const Options& options)
     : options_(options),
-      base_(std::move(g0)),
-      sharedBase_(std::move(baseFactor)),
-      rhs_(std::move(rhs)),
-      rhsBaseSolution_(std::move(rhsBaseSolution)) {
+      base_(std::move(base.g0)),
+      sharedBase_(std::move(base.factor)),
+      rhs_(std::move(base.rhs)),
+      rhsBaseSolution_(std::move(base.rhsBaseSolution)),
+      columnCache_(std::move(base.columns)) {
   VIADUCT_REQUIRE(base_ != nullptr && sharedBase_ != nullptr);
   VIADUCT_REQUIRE(base_->rows() == base_->cols() &&
                   sharedBase_->size() == base_->rows());
@@ -103,11 +129,23 @@ const CsrMatrix& WoodburySolver::currentMatrix() const {
   return *gCache_;
 }
 
-std::vector<double> WoodburySolver::incidenceSolve(Index i, Index j) const {
+IncidenceColumnCache::Column WoodburySolver::incidenceColumn(Index i,
+                                                             Index j) const {
+  const bool cached = columnCache_ && usesSharedBase();
+  if (cached) {
+    if (auto hit = columnCache_->find(i, j)) {
+      VIADUCT_COUNTER_ADD("woodbury.column_cache_hits", 1);
+      return hit;
+    }
+    VIADUCT_COUNTER_ADD("woodbury.column_cache_misses", 1);
+  }
   std::vector<double> a(static_cast<std::size_t>(base_->rows()), 0.0);
   if (i >= 0) a[i] = 1.0;
   if (j >= 0) a[j] = -1.0;
-  return activeFactor().solve(a);
+  auto column = std::make_shared<const std::vector<double>>(
+      activeFactor().solve(a));
+  if (cached) columnCache_->insert(i, j, column);
+  return column;
 }
 
 void WoodburySolver::foldIntoFactor() {
@@ -158,7 +196,7 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
       b.i = i;
       b.j = j;
       b.deltaG = deltaG;
-      b.z = incidenceSolve(i, j);
+      b.z = incidenceColumn(i, j);
       branchIndex_.emplace(key, branches_.size());
       branches_.push_back(std::move(b));
     }
@@ -223,8 +261,9 @@ std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
     for (std::size_t l = 0; l < k; ++l) {
       const Branch& bm = branches_[m];
       const Branch& bl = branches_[l];
-      double utz = bl.z[bm.i];
-      if (bm.j >= 0) utz -= bl.z[bm.j];
+      const std::vector<double>& zl = *bl.z;
+      double utz = zl[bm.i];
+      if (bm.j >= 0) utz -= zl[bm.j];
       c(m, l) = utz;
     }
     c(m, m) += 1.0 / branches_[m].deltaG;
@@ -243,7 +282,7 @@ std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
   for (std::size_t m = 0; m < k; ++m) {
     const double ym = y[m];
     if (ym == 0.0) continue;
-    const auto& z = branches_[m].z;
+    const std::vector<double>& z = *branches_[m].z;
     for (std::size_t r = 0; r < x.size(); ++r) x[r] -= z[r] * ym;
   }
   return x;

@@ -7,28 +7,38 @@
 // (U columns are ±1 incidence vectors of the changed branches, D the
 // conductance deltas),
 //   G⁻¹ b = G0⁻¹ b − Z (D⁻¹ + Uᵀ Z)⁻¹ Zᵀ b,   Z = G0⁻¹ U,
-// so each *new* failed branch costs one factored solve (to extend Z), where
-// k is the number of distinct changed branches so far. A general solve(b)
-// adds one factored solve (G0⁻¹ b) plus a dense k×k solve. The grid's
-// right-hand side never changes, so it can be bound once: its base solution
-// x0 = G0⁻¹ b is computed once per base factor and solveFixedRhs() costs
-// only the dense k×k solve and x0 − Z·y — no factored solve at all. When k
-// exceeds `rebaseThreshold`, the updates are folded into G0 and the matrix
-// is re-factored numerically (symbolic analysis reused); the fold re-solves
-// x0 exactly once on the new factor.
+// so each *new* failed branch costs at most one factored solve (to extend
+// Z), where k is the number of distinct changed branches so far. A general
+// solve(b) adds one factored solve (G0⁻¹ b) plus a dense k×k solve. The
+// grid's right-hand side never changes, so it can be bound once: its base
+// solution x0 = G0⁻¹ b is computed once per base factor and solveFixedRhs()
+// costs only the dense k×k solve and x0 − Z·y — no factored solve at all.
+// When k exceeds `rebaseThreshold`, the updates are folded into G0 and the
+// matrix is re-factored numerically (symbolic analysis reused); the fold
+// re-solves x0 exactly once on the new factor.
 //
 // Two ownership modes:
 //  - Owning (legacy): the solver copies G0 and factors it itself.
-//  - Shared-base: the solver borrows an immutable factorization of G0 built
-//    once (e.g. per PowerGridModel) and shared by every Monte Carlo trial
-//    on every thread, together with the bound right-hand side's base
-//    solution. Construction is then O(1); the solver never touches the
+//  - Shared-base: the solver borrows a SharedBase — an immutable
+//    factorization of G0 built once (e.g. per PowerGridModel) and shared by
+//    every Monte Carlo trial on every thread, together with the bound
+//    right-hand side's base solution and a cache of solved incidence
+//    columns. Construction is then O(1); the solver never touches the
 //    shared factor, promoting to a private clone (refactored(), which
 //    reuses the shared symbolic analysis) only if it has to rebase.
+//
+// An incidence column z = G0⁻¹·(e_i − e_j) depends only on the base factor
+// and the branch, not on the trial. While a solver still runs on the shared
+// base, a new branch first asks the shared IncidenceColumnCache: a hit costs
+// no factored solve and copies nothing, so a branch that any trial already
+// solved on this base is never solved again. After a rebase the solver's
+// columns come from its private factor and are always solved.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,6 +49,43 @@
 #include "numerics/spd_factor.h"
 
 namespace viaduct {
+
+/// Solved incidence columns G0⁻¹·(e_i − e_j) of one base factor, keyed by
+/// the canonical branch (i < j, a ground endpoint −1 in slot j) and shared
+/// by every solver on that factor. The stored payload is bounded by
+/// `byteBudget`; admission is first-come and nothing is evicted, so once
+/// full a miss is solved and simply not stored. A mutex guards the map;
+/// the solves themselves run outside it. Thread-safe.
+class IncidenceColumnCache {
+ public:
+  using Column = std::shared_ptr<const std::vector<double>>;
+
+  explicit IncidenceColumnCache(std::size_t byteBudget)
+      : byteBudget_(byteBudget) {}
+
+  /// The bound for a base factor: the factor's own storage,
+  /// factorNonZeroCount() × (sizeof(double) + sizeof(Index)) bytes.
+  static std::size_t budgetFor(const SpdFactor& factor);
+
+  /// The stored column of branch (i, j), or nullptr.
+  Column find(Index i, Index j) const;
+
+  /// Stores `column` for branch (i, j) if the budget has room for it and
+  /// the branch is not stored yet (a concurrent miss may have stored the
+  /// bit-identical column first).
+  void insert(Index i, Index j, Column column);
+
+  std::size_t size() const;
+  /// Bytes of column payload held (≤ byteBudget()).
+  std::size_t bytes() const;
+  std::size_t byteBudget() const { return byteBudget_; }
+
+ private:
+  const std::size_t byteBudget_;
+  mutable std::mutex mutex_;
+  std::map<std::pair<Index, Index>, Column> columns_;
+  std::size_t bytes_ = 0;
+};
 
 class WoodburySolver {
  public:
@@ -64,21 +111,27 @@ class WoodburySolver {
   WoodburySolver(CsrMatrix g0, const Options& options,
                  std::shared_ptr<const std::vector<double>> rhs = nullptr);
 
-  /// Shared-base mode: `baseFactor` is a factorization of `*g0`, built once
-  /// and shared across solvers/threads; it is never mutated through this
-  /// class. A non-null `rhs` binds the right-hand side of solveFixedRhs()
-  /// and must come with `rhsBaseSolution` = `baseFactor`⁻¹·`rhs`, computed
-  /// once by the factor's owner and shared the same way. Construction
-  /// performs no factorization or solve work.
-  WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                 std::shared_ptr<const SpdFactor> baseFactor)
-      : WoodburySolver(std::move(g0), std::move(baseFactor), Options{}) {}
-  WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                 std::shared_ptr<const SpdFactor> baseFactor,
-                 const Options& options,
-                 std::shared_ptr<const std::vector<double>> rhs = nullptr,
-                 std::shared_ptr<const std::vector<double>> rhsBaseSolution =
-                     nullptr);
+  /// The borrowed state of shared-base mode, built once by the factor's
+  /// owner and shared across solvers and threads; none of it is mutated
+  /// through this class (the column cache is written only through its own
+  /// thread-safe interface).
+  struct SharedBase {
+    std::shared_ptr<const CsrMatrix> g0;
+    /// A factorization of *g0.
+    std::shared_ptr<const SpdFactor> factor;
+    /// Optional: binds the right-hand side of solveFixedRhs(), and must
+    /// come with rhsBaseSolution = factor⁻¹·rhs.
+    std::shared_ptr<const std::vector<double>> rhs;
+    std::shared_ptr<const std::vector<double>> rhsBaseSolution;
+    /// Optional: incidence columns solved on `factor`.
+    std::shared_ptr<IncidenceColumnCache> columns;
+  };
+
+  /// Shared-base mode. Construction performs no factorization or solve
+  /// work.
+  explicit WoodburySolver(SharedBase base)
+      : WoodburySolver(std::move(base), Options{}) {}
+  WoodburySolver(SharedBase base, const Options& options);
 
   Index size() const { return base_->rows(); }
 
@@ -120,8 +173,9 @@ class WoodburySolver {
   struct Branch {
     Index i;
     Index j;
-    double deltaG;           // accumulated conductance change
-    std::vector<double> z;   // G0⁻¹ a, a = e_i − e_j
+    double deltaG;  // accumulated conductance change
+    /// G0⁻¹ a, a = e_i − e_j (possibly shared with the column cache).
+    IncidenceColumnCache::Column z;
   };
 
   /// The factor solves go through: the private clone once one exists,
@@ -133,7 +187,9 @@ class WoodburySolver {
   void recordDelta(Index i, Index j, double deltaG);
   void dropBranch(std::size_t index);
   void foldIntoFactor();
-  std::vector<double> incidenceSolve(Index i, Index j) const;
+  /// Branch (i, j)'s incidence column on activeFactor(): from the shared
+  /// column cache while the shared base is active, else solved.
+  IncidenceColumnCache::Column incidenceColumn(Index i, Index j) const;
   /// The per-solve prologue: the woodbury.solve fault site and counters.
   void startSolve() const;
   /// x − Z·C⁻¹·Uᵀx for the pending updates: turns a base-factor solution
@@ -148,6 +204,8 @@ class WoodburySolver {
   /// null when none is bound); re-solved by every fold.
   std::shared_ptr<const std::vector<double>> rhs_;
   std::shared_ptr<const std::vector<double>> rhsBaseSolution_;
+  /// Columns solved on sharedBase_ (null in owning mode).
+  std::shared_ptr<IncidenceColumnCache> columnCache_;
 
   /// Accumulated branch deltas relative to *base_ (canonical keys), and the
   /// lazily materialized current matrix (base_ plus those deltas).

@@ -167,7 +167,11 @@ ViaArrayNetwork buildBaseNetwork(const ViaArrayCharacterizationSpec& spec) {
 
 ViaArrayCharacterizer::ViaArrayCharacterizer(
     const ViaArrayCharacterizationSpec& spec)
-    : spec_(spec), built_(buildFor(spec)) {
+    : spec_(spec) {
+  // The voxel model is needed only for the FEA solve below; the
+  // characterizer keeps just its via footprints.
+  const BuiltStructure built = buildFor(spec);
+  vias_ = built.vias;
   spec_.em.validate();
   VIADUCT_REQUIRE(spec_.trials >= 2);
   VIADUCT_REQUIRE(spec_.stressScale > 0.0);
@@ -185,13 +189,13 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
   const std::string pkey = spec_.primitiveKey();
   if (spec_.primitiveStore) {
     if (auto cached = spec_.primitiveStore->load(pkey)) {
-      if (cached->size() == built_.vias.size()) {
+      if (cached->size() == vias_.size()) {
         VIADUCT_COUNTER_ADD("primitive_store.hits", 1);
         rawSigmaT_ = std::move(*cached);
       } else {
         VIADUCT_COUNTER_ADD("primitive_store.corrupt_entries", 1);
         VIADUCT_WARN << "stress-primitive entry has " << cached->size()
-                     << " vias, structure has " << built_.vias.size()
+                     << " vias, structure has " << vias_.size()
                      << "; recomputing and rewriting";
       }
     } else {
@@ -205,7 +209,7 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
     feaOpts.pool = &pool;
     feaOpts.policy = spec_.policy;
     feaOpts.preconditioner = spec_.feaPreconditioner;
-    ThermoSolver solver(built_.grid, feaOpts);
+    ThermoSolver solver(built.grid, feaOpts);
     VIADUCT_COUNTER_ADD("viaarray.fea_solves", 1);
     const CgResult res = solver.solve();
     if (!res.converged) {
@@ -213,7 +217,7 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
           "FEA thermo-stress solve did not converge after policy retries");
     }
     feaIterations = res.iterations;
-    rawSigmaT_ = perViaPeakStress(solver, built_);
+    rawSigmaT_ = perViaPeakStress(solver, built);
     // Persist only results computed under the keyed preconditioner: the
     // policy ladder may have degraded mg -> ic0 mid-solve, and that result
     // must not be rehydrated under the mg key.
@@ -240,18 +244,18 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
 ViaArrayCharacterizer::ViaArrayCharacterizer(
     const ViaArrayCharacterizationSpec& spec,
     const CharacterizationData& data)
-    : spec_(spec), built_(buildFor(spec)) {
+    : spec_(spec), vias_(buildFor(spec).vias) {
   spec_.em.validate();
   VIADUCT_REQUIRE(spec_.trials >= 2);
   VIADUCT_REQUIRE(spec_.stressScale > 0.0);
   VIADUCT_REQUIRE_MSG(
-      data.rawSigmaT.size() == built_.vias.size(),
+      data.rawSigmaT.size() == vias_.size(),
       "cached stress vector does not match the via count");
   VIADUCT_REQUIRE_MSG(
       data.traces.size() == static_cast<std::size_t>(spec_.trials),
       "cached trace count does not match the spec's trial count");
   for (const auto& t : data.traces) {
-    VIADUCT_REQUIRE_MSG(t.failureTimes.size() == built_.vias.size(),
+    VIADUCT_REQUIRE_MSG(t.failureTimes.size() == vias_.size(),
                         "cached trace length does not match the via count");
   }
   baseNetwork_.emplace(buildBaseNetwork(spec_));
@@ -361,7 +365,7 @@ const std::vector<FailureTrace>& ViaArrayCharacterizer::traces() {
     checkpoint::TrialRecorder recorder(spec_.checkpoint, spec_.cacheKey(),
                                        spec_.trials);
     std::vector<unsigned char> done(static_cast<std::size_t>(spec_.trials), 0);
-    const std::size_t viaCount = built_.vias.size();
+    const std::size_t viaCount = vias_.size();
     for (const auto& [trial, record] : recorder.restore()) {
       const auto idx = static_cast<std::size_t>(trial);
       const std::size_t n = record.primary.size();

@@ -167,13 +167,15 @@ class ViaArrayCharacterizer {
 
   const ViaArrayCharacterizationSpec& spec() const { return spec_; }
 
-  /// Calibrated per-via σ_T [Pa], in BuiltStructure::vias order.
+  /// Calibrated per-via σ_T [Pa], in vias() order.
   const std::vector<double>& sigmaT() const { return sigmaT_; }
 
   /// Raw (uncalibrated) FEA per-via peak stress [Pa].
   const std::vector<double>& rawSigmaT() const { return rawSigmaT_; }
 
-  const BuiltStructure& structure() const { return built_; }
+  /// The array's via footprints (BuiltStructure::vias of the voxel model
+  /// the FEA ran on; the model itself is not kept).
+  const std::vector<ViaFootprint>& vias() const { return vias_; }
 
   /// Runs (or returns memoized) Monte Carlo traces. A trial whose network
   /// solve fails past the policy is left as an empty trace (kDiscard) or a
@@ -211,7 +213,7 @@ class ViaArrayCharacterizer {
   void simulateTrial(Rng& rng, FailureTrace& trace) const;
 
   ViaArrayCharacterizationSpec spec_;
-  BuiltStructure built_;
+  std::vector<ViaFootprint> vias_;
   /// Healthy-array network prototype: stamped, solved, and (incremental
   /// path) factored once; each Monte Carlo trial copies it and shares the
   /// immutable base state (DESIGN.md §5.9). Never mutated after

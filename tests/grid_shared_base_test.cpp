@@ -3,13 +3,16 @@
 // up-looking session parity, thread-count bit-identity of the grid Monte
 // Carlo, the grid.base_factor / cholesky.supernodal_factor fault sites, and
 // the cached base solution behind Session::solve() (bit-identity with the
-// general solve path, one factored solve per array failure).
+// general solve path, at most one factored solve per array failure), and
+// the model's shared cache of incidence columns (hits equal fresh solves,
+// a full cache changes no sample, concurrent sessions, the storage bound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -165,47 +168,234 @@ TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathWithoutSharedBase) {
   EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, 55, 23), 1);
 }
 
+/// 31 arrays per stripe, and an up-looking+RCM base factor (the CLI
+/// default) whose storage bound holds 56 of the mesh's columns.
+MeshSpec cacheRoomSpec() {
+  MeshSpec spec;
+  spec.rows = 30;
+  spec.cols = 61;
+  spec.viaPitch = 2;
+  spec.padPitch = 4;
+  return spec;
+}
+
+/// A criterion no opening sequence reaches, so every trial runs to the cap
+/// of 52 opens and crosses the default rebase threshold (48) once: opens
+/// 1–49 run on the shared base (the 49th triggers the fold), 50–52 on the
+/// trial's private factor. The narrow TTF spread makes trials open mostly
+/// the same arrays, the case the column cache serves.
+GridMcOptions cappedMcOptions(int trials, int threads) {
+  GridMcOptions opts;
+  opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.01);
+  opts.referenceCurrentAmps = 0.01;
+  opts.trials = trials;
+  opts.seed = 5;
+  opts.systemCriterion.irDropFraction = 0.999;
+  opts.maxFailuresPerTrial = 52;
+  opts.parallelism.threads = threads;
+  return opts;
+}
+
 TEST_F(GridSharedBaseTest, GridMcIssuesOneFactoredSolvePerFailure) {
-  // Solve budget: F array failures and R rebases cost exactly F + R
-  // factored solves beyond the model's one base solve — each failure's
-  // incidence column and each fold's base solution; healthy starts and
-  // re-solves reuse the cached base solution.
+  // Solve budget beyond the model's one base solve: each of the D distinct
+  // arrays opened on the shared base costs one incidence column for the
+  // whole run (the model's column cache serves every repeat, in any
+  // trial), each of the F_post failures after a rebase one column on the
+  // private factor, and each of the R folds one base solution. Healthy
+  // starts and re-solves reuse the cached base solution.
   obs::setEnabled(true);
   auto& registry = obs::Registry::instance();
   auto& solves = registry.counter("cholesky.triangular_solves");
   auto& failures = registry.counter("grid_mc.array_failures");
   auto& rebases = registry.counter("woodbury.rebases");
-  // 61 arrays per stripe: the 52 opens of a trial cannot cut a stripe off
-  // its straps, so no trial breaches before the cap.
-  MeshSpec spec;
-  spec.rows = 10;
-  spec.cols = 121;
-  spec.viaPitch = 2;
-  spec.padPitch = 4;
-  const Netlist net = tunedMesh(spec);
-  const std::uint64_t s0 = solves.value();
-  const std::uint64_t f0 = failures.value();
-  const std::uint64_t r0 = rebases.value();
+  auto& hits = registry.counter("woodbury.column_cache_hits");
+  auto& misses = registry.counter("woodbury.column_cache_misses");
+  const Netlist net = tunedMesh(cacheRoomSpec());
+  constexpr std::uint64_t kTrials = 4;
+  constexpr std::uint64_t kSharedOpens = 49;  // per trial, fold included
+  constexpr std::uint64_t kPostOpens = 52 - kSharedOpens;
 
-  const PowerGridModel model(net, supernodalConfig());
-  EXPECT_EQ(solves.value() - s0, 1u);
+  std::uint64_t distinctAtOneThread = 0;
+  for (const int threads : {1, 4}) {
+    const std::uint64_t s0 = solves.value();
+    const std::uint64_t f0 = failures.value();
+    const std::uint64_t r0 = rebases.value();
+    const std::uint64_t h0 = hits.value();
+    const std::uint64_t m0 = misses.value();
+    const PowerGridModel model(net, PowerGridConfig{});
+    EXPECT_EQ(solves.value() - s0, 1u);
+    const auto result = runGridMonteCarlo(
+        model, cappedMcOptions(static_cast<int>(kTrials), threads));
+    ASSERT_EQ(result.ttfSamples.size(), kTrials);
+
+    const std::uint64_t f = failures.value() - f0;
+    const std::uint64_t r = rebases.value() - r0;
+    ASSERT_EQ(f, kTrials * 52u);
+    ASSERT_EQ(r, kTrials);
+    // Every shared-base open asked the cache once; the cache kept room,
+    // so it stored every distinct array: D = its entry count.
+    const auto& cache = *model.columnCache();
+    const std::size_t columnBytes =
+        static_cast<std::size_t>(model.unknownCount()) * sizeof(double);
+    ASSERT_LE(cache.bytes() + columnBytes, cache.byteBudget());
+    const std::uint64_t distinct = cache.size();
+    const std::uint64_t fPost = kTrials * kPostOpens;
+    EXPECT_EQ(hits.value() - h0 + misses.value() - m0, f - fPost);
+    EXPECT_LT(distinct, f - fPost) << "no array repeated across trials";
+    const std::uint64_t spent = solves.value() - s0;
+    if (threads == 1) {
+      distinctAtOneThread = distinct;
+      EXPECT_EQ(misses.value() - m0, distinct);
+      EXPECT_EQ(spent, 1u + distinct + fPost + r) << "threads=1";
+    } else {
+      // Concurrent trials may both miss on one array before either stores
+      // it; each such race costs one extra solve, never a wrong column.
+      EXPECT_EQ(distinct, distinctAtOneThread);
+      EXPECT_EQ(spent, 1u + (misses.value() - m0) + fPost + r);
+      EXPECT_GE(spent, 1u + distinct + fPost + r) << "threads=" << threads;
+      EXPECT_LE(spent, 1u + f + r) << "threads=" << threads;
+    }
+  }
+}
+
+/// G0⁻¹·(e_a − e_b) for via-array site `site`, solved on the model's base
+/// factor.
+std::vector<double> baseIncidenceColumn(const PowerGridModel& model,
+                                        const ViaArraySite& site) {
+  std::vector<double> a(static_cast<std::size_t>(model.unknownCount()), 0.0);
+  a[static_cast<std::size_t>(site.a)] = 1.0;
+  a[static_cast<std::size_t>(site.b)] = -1.0;
+  return model.baseFactor()->solve(a);
+}
+
+TEST_F(GridSharedBaseTest, ColumnCacheHitEqualsABaseFactorSolve) {
+  // A second Session opening the same array reads the column the first
+  // one stored: it is the base factor's solve of the incidence vector, bit
+  // for bit, under either backend, and both sessions solve identically.
+  obs::setEnabled(true);
+  auto& hits = obs::Registry::instance().counter("woodbury.column_cache_hits");
+  const Netlist net = tunedMesh(smallSpec());
+  for (const PowerGridConfig& config :
+       {supernodalConfig(), PowerGridConfig{}}) {
+    const PowerGridModel model(net, config);
+    ASSERT_NE(model.columnCache(), nullptr);
+    PowerGridModel::Session first(model);
+    PowerGridModel::Session second(model);
+    for (const int array : {3, 17, 40}) {
+      first.openArray(array);
+      const std::uint64_t hits0 = hits.value();
+      second.openArray(array);
+      EXPECT_EQ(hits.value() - hits0, 1u) << "array " << array;
+      const ViaArraySite& site = model.viaArrays()[array];
+      const auto column = model.columnCache()->find(
+          std::min(site.a, site.b), std::max(site.a, site.b));
+      ASSERT_NE(column, nullptr) << "array " << array;
+      EXPECT_TRUE(*column == baseIncidenceColumn(model, site))
+          << "array " << array;
+      EXPECT_TRUE(first.solve().voltages == second.solve().voltages)
+          << "array " << array;
+    }
+    EXPECT_EQ(model.columnCache()->size(), 3u);
+  }
+
+  PowerGridConfig off = supernodalConfig();
+  off.sharedBaseFactor = false;
+  EXPECT_EQ(PowerGridModel(net, off).columnCache(), nullptr);
+}
+
+TEST_F(GridSharedBaseTest, FullColumnCacheKeepsSamplesAndItsBound) {
+  // The cache holds at most the base factor's own storage. On the 20x20
+  // mesh that is 18 columns, so one long Monte Carlo fills it; a second
+  // run on the full cache (hits on what it holds, unstored solves for the
+  // rest) must give the samples of the same run on a fresh model whose
+  // cache still has room, and of a model with no cache at all.
+  const Netlist net = tunedMesh(smallSpec());
   GridMcOptions opts;
   opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
   opts.referenceCurrentAmps = 0.01;
-  opts.trials = 4;
-  opts.seed = 5;
-  // A criterion no opening sequence reaches, so every trial runs to the
-  // cap and crosses the default rebase threshold (48) once.
-  opts.systemCriterion.irDropFraction = 0.999;
-  opts.maxFailuresPerTrial = 52;
-  const auto result = runGridMonteCarlo(model, opts);
-  ASSERT_EQ(result.ttfSamples.size(), 4u);
+  opts.trials = 4;  // at most 16 distinct arrays: the cache keeps room
+  opts.seed = 21;
+  opts.maxFailuresPerTrial = 4;
 
-  const std::uint64_t f = failures.value() - f0;
-  const std::uint64_t r = rebases.value() - r0;
-  EXPECT_EQ(f, 4u * 52u);
-  EXPECT_EQ(r, 4u);
-  EXPECT_EQ(solves.value() - s0, 1u + f + r);
+  const PowerGridModel fresh(net, PowerGridConfig{});
+  const auto& freshCache = *fresh.columnCache();
+  const std::size_t columnBytes =
+      static_cast<std::size_t>(fresh.unknownCount()) * sizeof(double);
+  EXPECT_EQ(freshCache.byteBudget(),
+            fresh.baseFactor()->factorNonZeroCount() *
+                (sizeof(double) + sizeof(Index)));
+  const auto withRoom = runGridMonteCarlo(fresh, opts);
+  ASSERT_EQ(withRoom.ttfSamples.size(), 4u);
+  EXPECT_LE(freshCache.bytes() + columnBytes, freshCache.byteBudget())
+      << "the reference run filled its cache";
+
+  const PowerGridModel filled(net, PowerGridConfig{});
+  const auto& cache = *filled.columnCache();
+  GridMcOptions filling = opts;
+  filling.seed = 22;
+  filling.trials = 24;
+  filling.maxFailuresPerTrial = 12;
+  (void)runGridMonteCarlo(filled, filling);
+  ASSERT_GT(cache.bytes() + columnBytes, cache.byteBudget())
+      << "the filling run left room in the cache";
+  const std::size_t storedBefore = cache.size();
+  const auto onFull = runGridMonteCarlo(filled, opts);
+  EXPECT_EQ(cache.size(), storedBefore);
+  EXPECT_LE(cache.bytes(), cache.byteBudget());
+  EXPECT_EQ(cache.bytes(), cache.size() * columnBytes);
+
+  PowerGridConfig off;
+  off.sharedBaseFactor = false;
+  const auto uncached = runGridMonteCarlo(PowerGridModel(net, off), opts);
+  EXPECT_EQ(onFull.ttfSamples, withRoom.ttfSamples);
+  EXPECT_EQ(uncached.ttfSamples, withRoom.ttfSamples);
+}
+
+TEST_F(GridSharedBaseTest, ConcurrentSessionsShareTheColumnCache) {
+  // Four threads, each with its own Session on one model, open overlapping
+  // array sequences at the same time, so lookups, misses and inserts on
+  // the shared cache interleave (a race shows under VIADUCT_SANITIZE=thread).
+  // Every session must solve exactly as the same sequence does alone on a
+  // fresh model.
+  const Netlist net = tunedMesh(smallSpec());
+  const PowerGridModel model(net, supernodalConfig());
+  const int count = static_cast<int>(model.viaArrays().size());
+  constexpr int kThreads = 4;
+  constexpr int kOpens = 10;
+  auto sequence = [&](int t) {
+    std::vector<int> order(static_cast<std::size_t>(count));
+    std::iota(order.begin(), order.end(), 0);
+    // Shared prefix, then per-thread tails: repeats and fresh arrays.
+    std::shuffle(order.begin() + 4, order.end(),
+                 std::mt19937_64(static_cast<std::uint64_t>(t)));
+    order.resize(kOpens);
+    return order;
+  };
+  auto run = [](const PowerGridModel& m, const std::vector<int>& order) {
+    std::vector<std::vector<double>> voltages;
+    PowerGridModel::Session session(m);
+    for (const int array : order) {
+      session.openArray(array);
+      voltages.push_back(session.solve().voltages);
+    }
+    return voltages;
+  };
+
+  std::vector<std::vector<std::vector<double>>> concurrent(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      concurrent[static_cast<std::size_t>(t)] = run(model, sequence(t));
+    });
+  for (auto& w : workers) w.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const PowerGridModel alone(net, supernodalConfig());
+    EXPECT_TRUE(concurrent[static_cast<std::size_t>(t)] ==
+                run(alone, sequence(t)))
+        << "session " << t;
+  }
+  EXPECT_LE(model.columnCache()->bytes(), model.columnCache()->byteBudget());
 }
 
 TEST_F(GridSharedBaseTest, MeshSpecHitsNodeTargets) {

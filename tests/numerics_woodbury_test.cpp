@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -164,7 +165,11 @@ TEST(WoodburySolver, SharedBaseSolutionIsReusedUntilTheFold) {
       buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
   auto rhs = std::make_shared<const std::vector<double>>(36, 0.25);
   auto x0 = std::make_shared<const std::vector<double>>(factor->solve(*rhs));
-  WoodburySolver w(g, factor, WoodburySolver::Options{}, rhs, x0);
+  WoodburySolver w({.g0 = g,
+                    .factor = factor,
+                    .rhs = rhs,
+                    .rhsBaseSolution = x0,
+                    .columns = nullptr});
   EXPECT_EQ(w.solveFixedRhs(), *x0);
   w.updateBranch(1, 2, -0.4);
   w.updateBranch(8, 14, -0.9);
@@ -184,7 +189,11 @@ TEST(WoodburySolver, FixedRhsNeedsABinding) {
       buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
   auto rhs = std::make_shared<const std::vector<double>>(16, 1.0);
   // A shared-base solver must be handed the base solution with the rhs.
-  EXPECT_THROW(WoodburySolver(g, factor, WoodburySolver::Options{}, rhs),
+  EXPECT_THROW(WoodburySolver({.g0 = g,
+                               .factor = factor,
+                               .rhs = rhs,
+                               .rhsBaseSolution = nullptr,
+                               .columns = nullptr}),
                PreconditionError);
   auto wrongSize = std::make_shared<const std::vector<double>>(15, 1.0);
   EXPECT_THROW(WoodburySolver(*g, WoodburySolver::Options{}, wrongSize),
@@ -214,6 +223,99 @@ TEST(WoodburySolver, FactoredSolveBudget) {
   EXPECT_EQ(solves.value() - before, 5u);
   (void)w.solveFixedRhs();
   EXPECT_EQ(solves.value() - before, 5u);
+}
+
+TEST(WoodburySolver, ColumnCacheServesLaterSolversWithoutASolve) {
+  // Three solvers on one shared base replay the same updates: one filling
+  // a roomy cache, one reading it back (no factored solve until its fold),
+  // one on a cache with no room (every column solved, none stored). All
+  // three must agree bit-for-bit after every step.
+  obs::setEnabled(true);
+  auto& solves = obs::Registry::instance().counter("cholesky.triangular_solves");
+  auto& hits = obs::Registry::instance().counter("woodbury.column_cache_hits");
+  const auto g = std::make_shared<const CsrMatrix>(gridConductance(8, 8));
+  std::shared_ptr<const SpdFactor> factor =
+      buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
+  auto rhs = std::make_shared<const std::vector<double>>(64, 0.25);
+  auto x0 = std::make_shared<const std::vector<double>>(factor->solve(*rhs));
+  auto roomy = std::make_shared<IncidenceColumnCache>(
+      IncidenceColumnCache::budgetFor(*factor));
+  auto full = std::make_shared<IncidenceColumnCache>(0);
+  EXPECT_EQ(roomy->byteBudget(),
+            factor->factorNonZeroCount() * (sizeof(double) + sizeof(Index)));
+  auto shared = [&](std::shared_ptr<IncidenceColumnCache> columns) {
+    WoodburySolver::Options opts;
+    opts.rebaseThreshold = 4;
+    return WoodburySolver({.g0 = g,
+                           .factor = factor,
+                           .rhs = rhs,
+                           .rhsBaseSolution = x0,
+                           .columns = std::move(columns)},
+                          opts);
+  };
+  WoodburySolver filler = shared(roomy);
+  WoodburySolver reader = shared(roomy);
+  WoodburySolver unstored = shared(full);
+  // Six distinct branches (the fifth crosses the threshold: fold), with
+  // ground and reversed endpoints to exercise the canonical key; ground
+  // ties are strengthened so the matrix stays SPD.
+  const std::vector<std::tuple<Index, Index, double>> branches = {
+      {1, 0, -0.6},  {9, 10, -0.6},  {20, -1, 0.5},
+      {-1, 45, 0.5}, {17, 25, -0.6}, {33, 34, -0.6}};
+  for (const auto& [i, j, d] : branches) filler.updateBranch(i, j, d);
+  EXPECT_EQ(roomy->size(), 5u);  // the sixth ran on the private factor
+  EXPECT_EQ(roomy->bytes(), 5 * 64 * sizeof(double));
+
+  for (const auto& [i, j, d] : branches) {
+    const std::uint64_t solves0 = solves.value();
+    const std::uint64_t hits0 = hits.value();
+    const bool onSharedBase = reader.usesSharedBase();
+    reader.updateBranch(i, j, d);
+    unstored.updateBranch(i, j, d);
+    if (onSharedBase && reader.usesSharedBase()) {
+      // A hit on the reader, a solve on the full-cache solver.
+      EXPECT_EQ(hits.value() - hits0, 1u) << i << "-" << j;
+      EXPECT_EQ(solves.value() - solves0, 1u) << i << "-" << j;
+    }
+    const auto x = reader.solveFixedRhs();
+    EXPECT_EQ(x, unstored.solveFixedRhs()) << "after " << i << "-" << j;
+    EXPECT_EQ(x, reader.solve(*rhs)) << "after " << i << "-" << j;
+  }
+  EXPECT_EQ(reader.solveFixedRhs(), filler.solveFixedRhs());
+  EXPECT_EQ(reader.rebaseCount(), 1);
+  EXPECT_EQ(full->size(), 0u);
+  EXPECT_EQ(full->bytes(), 0u);
+  EXPECT_EQ(roomy->size(), 5u);
+}
+
+TEST(WoodburySolver, ColumnCacheAdmitsFirstComeWithinItsBudget) {
+  // Room for exactly two 16-entry columns: the third distinct branch is
+  // not stored, re-inserting a stored branch changes nothing, and a stored
+  // column is the one a fresh solve returns.
+  const auto g = std::make_shared<const CsrMatrix>(gridConductance(4, 4));
+  std::shared_ptr<const SpdFactor> factor =
+      buildSpdFactor(*g, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
+  auto cache = std::make_shared<IncidenceColumnCache>(2 * 16 * sizeof(double));
+  WoodburySolver w({.g0 = g,
+                    .factor = factor,
+                    .rhs = nullptr,
+                    .rhsBaseSolution = nullptr,
+                    .columns = cache});
+  w.updateBranch(2, 1, -0.3);
+  w.updateBranch(5, 6, -0.3);
+  w.updateBranch(9, 10, -0.3);
+  EXPECT_EQ(cache->size(), 2u);
+  EXPECT_EQ(cache->bytes(), cache->byteBudget());
+  EXPECT_EQ(cache->find(9, 10), nullptr);
+  const auto first = cache->find(1, 2);
+  ASSERT_NE(first, nullptr);
+  std::vector<double> a(16, 0.0);
+  a[1] = 1.0;
+  a[2] = -1.0;
+  EXPECT_EQ(*first, factor->solve(a));
+  cache->insert(1, 2, std::make_shared<const std::vector<double>>(16, 7.0));
+  EXPECT_EQ(cache->find(1, 2), first);
+  EXPECT_EQ(cache->size(), 2u);
 }
 
 TEST(WoodburySolver, EndpointOrderIrrelevant) {

@@ -18,7 +18,9 @@
 #      parity, thread-count bit-identity, a floor on the shared-base
 #      speedup over factorization-per-trial, and at most one factored solve
 #      per array failure plus one per rebase (`solves_per_failure` in
-#      BENCH_grid_scale.json; exit is nonzero on any miss);
+#      BENCH_grid_scale.json, fewer when the model's incidence-column cache
+#      serves a repeat; `column_hit_ratio` reports its share; exit is
+#      nonzero on any miss);
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + HTTP listener + a scraper thread) must
 #      stay within the telemetry overhead budget and keep ttfSamples
@@ -112,7 +114,9 @@ echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
 
 echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
 # Parity, determinism, speedup and solves-per-failure gates on the smallest
-# mesh; the full 1e4 -> 1e6 sweep is the same binary without --smoke.
+# mesh (a failure costs at most one factored solve, none when the column
+# cache holds its array; column_hit_ratio is reported, not gated); the full
+# 1e4 -> 1e6 sweep is the same binary without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
 echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
