@@ -19,8 +19,6 @@
 //
 // --smoke shrinks trials/repeats for the tier-1 gate; the gates themselves
 // are identical.
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,9 +38,9 @@
 #include "grid/grid_mc.h"
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
-#include "obs/http.h"
 #include "obs/obs.h"
 #include "obs/sampler.h"
+#include "serve/protocol.h"
 
 using namespace viaduct;
 
@@ -78,31 +76,6 @@ GridMcOptions mcOptions(int trials, int threads) {
   return opts;
 }
 
-/// Minimal blocking GET against 127.0.0.1:port; empty string on any error.
-std::string httpGet(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  std::string response;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string request =
-        "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n"
-        "Connection: close\r\n\r\n";
-    if (::send(fd, request.data(), request.size(), 0) ==
-        static_cast<ssize_t>(request.size())) {
-      char buf[4096];
-      ssize_t n = 0;
-      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-  }
-  ::close(fd);
-  return response;
-}
-
 double timedRun(const PowerGridModel& model, const GridMcOptions& opts,
                 std::vector<double>* samples) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -122,7 +95,7 @@ double timedRunLive(const PowerGridModel& model, const GridMcOptions& opts,
   obs::resetAll();
 
   std::string error;
-  auto server = obs::TelemetryHttpServer::start("127.0.0.1:0", &error);
+  auto server = serve::startTelemetryListener("127.0.0.1:0", &error);
   VIADUCT_CHECK_MSG(server != nullptr, "telemetry server failed to start");
   auto sampler = obs::MetricsSampler::start(streamPath, 0.25, &error);
   VIADUCT_CHECK_MSG(sampler != nullptr, "metrics sampler failed to start");
@@ -136,11 +109,12 @@ double timedRunLive(const PowerGridModel& model, const GridMcOptions& opts,
   const int port = server->port();
   std::thread scraper([&] {
     while (!stopScraper.load(std::memory_order_relaxed)) {
-      const std::string response = httpGet(port, "/metrics");
-      if (!response.empty()) {
+      const auto response =
+          serve::httpRequest("127.0.0.1", port, "GET", "/metrics", "");
+      if (response) {
         ++scrapes;
-        if (response.find("HTTP/1.1 200") == std::string::npos ||
-            response.find("# EOF") == std::string::npos)
+        if (response->status != 200 ||
+            response->body.find("# EOF") == std::string::npos)
           scrapesValid = false;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -24,6 +24,13 @@ GridFailureCriterion GridFailureCriterion::irDrop(double fraction) {
   return {.kind = Kind::kIrDrop, .irDropFraction = fraction};
 }
 
+std::optional<GridFailureCriterion> GridFailureCriterion::parse(
+    const std::string& s) {
+  if (s == "ir") return irDrop(0.10);
+  if (s == "weakest") return weakestLink();
+  return std::nullopt;
+}
+
 std::string GridFailureCriterion::describe() const {
   if (kind == Kind::kWeakestLink) return "weakest-link";
   return std::to_string(static_cast<int>(irDropFraction * 100.0 + 0.5)) +

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,11 @@ struct GridFailureCriterion {
 
   static GridFailureCriterion weakestLink();
   static GridFailureCriterion irDrop(double fraction = 0.10);
+
+  /// Parses the CLI/serving spelling: "ir" (the paper's 10% IR-drop
+  /// threshold) or "weakest"; std::nullopt on anything else.
+  static std::optional<GridFailureCriterion> parse(const std::string& s);
+
   std::string describe() const;
 };
 

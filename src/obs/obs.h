@@ -15,10 +15,10 @@
 // lookup happens once per call site (function-local static).
 //
 // The live-telemetry surfaces over the same registry live in their own
-// headers (they pull in sockets/threads and are not for hot loops):
-// obs/export.h (OpenMetrics + JSONL rendering), obs/http.h (scrape
-// listener), obs/sampler.h (background JSONL sampler), obs/solver_health.h
-// (residual-decay trace ring).
+// headers (they pull in threads and are not for hot loops): obs/export.h
+// (OpenMetrics + JSONL rendering), obs/sampler.h (background JSONL
+// sampler), obs/solver_health.h (residual-decay trace ring). The HTTP
+// scrape endpoint is served by serve/protocol.h (startTelemetryListener).
 #pragma once
 
 #include <string>

@@ -11,12 +11,18 @@
 #include <cstring>
 
 #include "common/serialize.h"
+#include "obs/export.h"
+#include "obs/obs.h"
+#include "obs/solver_health.h"
 
 namespace viaduct::serve {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Pending-connection backlog of every listener.
+constexpr int kListenBacklog = 64;
 
 int remainingMs(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -149,6 +155,120 @@ bool parseHostPort(const std::string& spec, std::string* host, int* port) {
   if (!p || *p < 0 || *p > 65535) return false;
   *port = static_cast<int>(*p);
   return true;
+}
+
+std::unique_ptr<HttpListener> HttpListener::start(const std::string& hostPort,
+                                                 AcceptHandler onAccept,
+                                                 std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error) *error = why;
+    return nullptr;
+  };
+
+  std::string host;
+  int port = 0;
+  if (!parseHostPort(hostPort, &host, &port))
+    return fail("cannot parse '" + hostPort + "' (expected HOST:PORT)");
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
+    return fail("cannot parse host '" + host + "' (numeric IPv4 or localhost)");
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return fail("socket() failed: " + std::string(strerror(errno)));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    const std::string why = strerror(errno);
+    ::close(fd);
+    return fail("cannot bind " + hostPort + ": " + why);
+  }
+  if (::listen(fd, kListenBacklog) != 0) {
+    const std::string why = strerror(errno);
+    ::close(fd);
+    return fail("listen() failed: " + why);
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
+
+  auto listener = std::unique_ptr<HttpListener>(new HttpListener());
+  listener->fd_ = fd;
+  listener->host_ = host;
+  listener->port_ = static_cast<int>(ntohs(bound.sin_port));
+  listener->onAccept_ = std::move(onAccept);
+  listener->thread_ = std::thread([l = listener.get()] { l->acceptLoop(); });
+  return listener;
+}
+
+HttpListener::~HttpListener() { stop(); }
+
+void HttpListener::stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  if (thread_.joinable()) thread_.join();
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+std::string HttpListener::endpoint() const {
+  return "http://" + host_ + ":" + std::to_string(port_);
+}
+
+void HttpListener::acceptLoop() {
+  while (!stop_.load(std::memory_order_relaxed)) {
+    pollfd pfd{fd_, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
+    // Timeout or EINTR (a signal landing mid-poll): re-check stop and go
+    // around; a transient accept failure (including EINTR) likewise.
+    if (ready <= 0) continue;
+    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (conn < 0) continue;
+    onAccept_(conn);
+  }
+}
+
+bool writeTelemetryResponse(int fd, const std::string& path) {
+  if (path == "/metrics") {
+    writeHttpResponse(fd, "200 OK", obs::openMetricsContentType(),
+                      obs::openMetricsText());
+  } else if (path == "/metrics.json") {
+    writeHttpResponse(fd, "200 OK", "application/json", obs::snapshotJson());
+  } else if (path == "/debug/solves") {
+    writeHttpResponse(fd, "200 OK", "application/json",
+                      obs::solveTracesJson());
+  } else if (path == "/healthz" || path == "/") {
+    writeHttpResponse(fd, "200 OK", "text/plain", "ok\n");
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::unique_ptr<HttpListener> startTelemetryListener(
+    const std::string& hostPort, std::string* error) {
+  const auto serveOne = [](int fd) {
+    // Only the request line matters (there is no body): 2 KiB / 2 s bound.
+    HttpRequest request;
+    const ReadResult read =
+        readHttpRequest(fd, &request, /*timeoutMs=*/2000, /*maxBytes=*/2048);
+    if (read == ReadResult::kOk) {
+      if (request.method != "GET")
+        writeHttpResponse(fd, "405 Method Not Allowed", "text/plain",
+                          "only GET is supported\n");
+      else if (!writeTelemetryResponse(fd, request.path))
+        writeHttpResponse(
+            fd, "404 Not Found", "text/plain",
+            "try /metrics, /metrics.json, /debug/solves, /healthz\n");
+    } else if (read != ReadResult::kClosed) {
+      writeHttpResponse(fd, "400 Bad Request", "text/plain", "bad request\n");
+    }
+    ::close(fd);
+  };
+  return HttpListener::start(hostPort, serveOne, error);
 }
 
 std::optional<HttpResponse> httpRequest(const std::string& host, int port,

@@ -1,16 +1,24 @@
-// viaduct::serve — wire protocol: HTTP/1.1 request framing over POSIX
-// sockets, with the same EINTR/partial-IO discipline as obs/http.cpp.
+// viaduct::serve — the one HTTP/1.1 transport (listener, request framing,
+// responses, a blocking client, the telemetry route table) behind both the
+// viaduct_server daemon and the CLI's --obs-listen endpoint. Every slow
+// syscall retries EINTR and every send handles partial writes, so a
+// profiler's SIGPROF never drops a request or truncates a response.
 //
-// The daemon speaks a minimal, dependency-free subset of HTTP/1.1:
+// It speaks a minimal, dependency-free subset of HTTP/1.1:
 //   - request line + headers + optional Content-Length body
 //   - "Connection: close" responses, one request per connection
 // This is deliberately the smallest protocol that curl, python urllib,
 // and a load generator can all speak without a client library.
+// IPv4 only; port 0 in a listen spec binds an ephemeral port.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 
 namespace viaduct::serve {
 
@@ -45,6 +53,59 @@ void writeHttpResponse(int fd, const char* status,
 
 /// "HOST:PORT" → parts ("", "localhost" → 127.0.0.1). False on bad input.
 bool parseHostPort(const std::string& spec, std::string* host, int* port);
+
+/// A bound listening socket plus one thread that accepts connections and
+/// hands each accepted fd to `onAccept`, which owns it from then on (closes
+/// it, or queues it for a worker that will). The accept loop polls with a
+/// short timeout and retries EINTR, so stop() joins promptly.
+class HttpListener {
+ public:
+  using AcceptHandler = std::function<void(int fd)>;
+
+  /// Parses `hostPort`, binds, listens, and starts the accept thread.
+  /// Returns nullptr and fills `error` when the spec does not parse or the
+  /// socket cannot be bound.
+  static std::unique_ptr<HttpListener> start(const std::string& hostPort,
+                                             AcceptHandler onAccept,
+                                             std::string* error = nullptr);
+
+  ~HttpListener();
+  HttpListener(const HttpListener&) = delete;
+  HttpListener& operator=(const HttpListener&) = delete;
+
+  /// Joins the accept thread and closes the socket (idempotent). No
+  /// handler call is running or will start once this returns.
+  void stop();
+
+  /// The bound port (the actual one when the spec asked for port 0).
+  int port() const { return port_; }
+  /// "http://HOST:PORT" for log lines.
+  std::string endpoint() const;
+
+ private:
+  HttpListener() = default;
+  void acceptLoop();
+
+  int fd_ = -1;
+  int port_ = 0;
+  std::string host_;
+  AcceptHandler onAccept_;
+  std::thread thread_;
+  std::atomic<bool> stop_{false};
+};
+
+/// The telemetry route table: answers /metrics (OpenMetrics), /metrics.json
+/// (the --metrics-out snapshot), /debug/solves (solver-health traces) and
+/// /healthz or / ("ok") and returns true; returns false, writing nothing,
+/// for any other path. Rendering takes only shared registry locks, so a
+/// scrape never blocks instrumented hot loops.
+bool writeTelemetryResponse(int fd, const std::string& path);
+
+/// The CLI's telemetry listener: serves each GET on the accept thread (a
+/// scrape is microseconds of work) through writeTelemetryResponse; other
+/// methods get 405, other paths 404.
+std::unique_ptr<HttpListener> startTelemetryListener(
+    const std::string& hostPort, std::string* error = nullptr);
 
 /// Blocking one-shot HTTP client for tests and the load generator:
 /// connect, send, read the full response, close. Returns std::nullopt on

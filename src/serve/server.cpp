@@ -1,23 +1,14 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <string_view>
 
 #include "common/units.h"
 #include "core/analyzer.h"
-#include "obs/export.h"
 #include "obs/obs.h"
-#include "obs/solver_health.h"
-#include "serve/protocol.h"
 #include "spice/generator.h"
 #include "viaarray/cache.h"
 #include "viaarray/characterize.h"
@@ -40,6 +31,12 @@ std::string errorFields(const std::string& message) {
   JsonObjectWriter w;
   w.add("status", "error").add("error", message);
   return w.str().substr(1, w.str().size() - 2);  // inner fields only
+}
+
+/// A complete error response body: {"status":"error","error":message}.
+std::string errorBody(const std::string& message) {
+  return JsonObjectWriter().add("status", "error").add("error", message).str() +
+         "\n";
 }
 
 /// Reads an integer field with a default; false (and *err set) on a
@@ -114,40 +111,8 @@ std::unique_ptr<ViaductServer> ViaductServer::start(const ServerConfig& config,
   if (config.workers < 1) return fail("workers must be >= 1");
   if (config.queueLimit < 1) return fail("queue-limit must be >= 1");
 
-  std::string host;
-  int port = 0;
-  if (!parseHostPort(config.listen, &host, &port))
-    return fail("cannot parse '" + config.listen + "' (expected HOST:PORT)");
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-    return fail("cannot parse host '" + host + "' (numeric IPv4 or localhost)");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket() failed: " + std::string(strerror(errno)));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string why = strerror(errno);
-    ::close(fd);
-    return fail("cannot bind " + config.listen + ": " + why);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string why = strerror(errno);
-    ::close(fd);
-    return fail("listen() failed: " + why);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-
   auto server = std::unique_ptr<ViaductServer>(new ViaductServer());
   server->config_ = config;
-  server->listenFd_ = fd;
-  server->host_ = host;
-  server->port_ = static_cast<int>(ntohs(bound.sin_port));
   server->library_ =
       config.cachePath.empty()
           ? std::make_shared<ViaArrayLibrary>()
@@ -160,15 +125,14 @@ std::unique_ptr<ViaductServer> ViaductServer::start(const ServerConfig& config,
   server->workers_.reserve(static_cast<std::size_t>(config.workers));
   for (int i = 0; i < config.workers; ++i)
     server->workers_.emplace_back([s = server.get()] { s->workerLoop(); });
-  server->listener_ = std::thread([s = server.get()] { s->listenLoop(); });
+  server->http_ = HttpListener::start(
+      config.listen, [s = server.get()](int fd) { s->admitConnection(fd); },
+      error);
+  if (!server->http_) return nullptr;  // the destructor joins the workers
   return server;
 }
 
 ViaductServer::~ViaductServer() { drainAndStop(); }
-
-std::string ViaductServer::endpoint() const {
-  return "http://" + host_ + ":" + std::to_string(port_);
-}
 
 void ViaductServer::beginDrain() {
   draining_.store(true, std::memory_order_relaxed);
@@ -180,8 +144,7 @@ void ViaductServer::drainAndStop() {
   beginDrain();
   // Stop admitting first so the queue can only shrink, then wait for it
   // to empty and every worker to go idle — no accepted request is dropped.
-  listenerStop_.store(true, std::memory_order_relaxed);
-  if (listener_.joinable()) listener_.join();
+  if (http_) http_->stop();
   {
     std::unique_lock<std::mutex> lock(queueMutex_);
     drainedCv_.wait(lock, [&] { return queue_.empty() && busyWorkers_ == 0; });
@@ -190,10 +153,6 @@ void ViaductServer::drainAndStop() {
   queueCv_.notify_all();
   for (auto& w : workers_)
     if (w.joinable()) w.join();
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
 }
 
 ViaductServer::Stats ViaductServer::stats() const {
@@ -206,50 +165,30 @@ ViaductServer::Stats ViaductServer::stats() const {
   return s;
 }
 
-void ViaductServer::listenLoop() {
-  while (!listenerStop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listenFd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    // Timeout or EINTR (a signal mid-poll): re-check stop and go around;
-    // a transient accept failure (including EINTR) likewise.
-    if (ready <= 0) continue;
-    const int conn = ::accept(listenFd_, nullptr, nullptr);
-    if (conn < 0) continue;
-
-    if (draining_.load(std::memory_order_relaxed)) {
-      writeHttpResponse(conn, "503 Service Unavailable", "application/json",
-                        JsonObjectWriter()
-                                .add("status", "error")
-                                .add("error", "draining")
-                                .str() +
-                            "\n");
-      ::close(conn);
-      continue;
-    }
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lock(queueMutex_);
-      if (queue_.size() < static_cast<std::size_t>(config_.queueLimit)) {
-        queue_.push_back(conn);
-        admitted = true;
-      }
-    }
-    if (admitted) {
-      queueCv_.notify_one();
-    } else {
-      // Admission control: reject immediately rather than queue without
-      // bound — the client can back off and retry.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      VIADUCT_COUNTER_ADD("serve.rejected", 1);
-      writeHttpResponse(conn, "429 Too Many Requests", "application/json",
-                        JsonObjectWriter()
-                                .add("status", "error")
-                                .add("error", "queue full, retry later")
-                                .str() +
-                            "\n");
-      ::close(conn);
-    }
+void ViaductServer::admitConnection(int fd) {
+  if (draining_.load(std::memory_order_relaxed)) {
+    writeHttpResponse(fd, "503 Service Unavailable", "application/json",
+                      errorBody("draining"));
+    ::close(fd);
+    return;
   }
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    admitted = queue_.size() < static_cast<std::size_t>(config_.queueLimit);
+    if (admitted) queue_.push_back(fd);
+  }
+  if (admitted) {
+    queueCv_.notify_one();
+    return;
+  }
+  // Admission control: reject immediately rather than queue without
+  // bound — the client can back off and retry.
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  VIADUCT_COUNTER_ADD("serve.rejected", 1);
+  writeHttpResponse(fd, "429 Too Many Requests", "application/json",
+                    errorBody("queue full, retry later"));
+  ::close(fd);
 }
 
 void ViaductServer::workerLoop() {
@@ -357,16 +296,16 @@ ViaductServer::Outcome ViaductServer::handleCharacterize(
             errorFields("bad criterion '" + criterion +
                         "' (open, weakest, <k>, or <r>x)")};
 
+  const auto pat = parseIntersectionPattern(pattern);
+  if (!pat)
+    return {400, "application/json",
+            errorFields("bad pattern '" + pattern + "' (Plus, T, or L)")};
+
   ViaArrayCharacterizationSpec spec;
   spec.array.n = n;
   spec.trials = trials;
   if (seed >= 0) spec.seed = static_cast<std::uint64_t>(seed);
-  if (pattern == "Plus") spec.pattern = IntersectionPattern::kPlus;
-  else if (pattern == "T") spec.pattern = IntersectionPattern::kT;
-  else if (pattern == "L") spec.pattern = IntersectionPattern::kL;
-  else
-    return {400, "application/json",
-            errorFields("bad pattern '" + pattern + "' (Plus, T, or L)")};
+  spec.pattern = *pat;
   spec.parallelism = config_.parallelism;
   spec.policy = config_.policy;
   spec.primitiveStore = primitiveStore_;
@@ -420,7 +359,8 @@ ViaductServer::Outcome ViaductServer::handleAnalyze(const JsonObject& request,
       !readString(request, "systemCriterion", "ir", &systemCrit, &err))
     return {400, "application/json", errorFields(err)};
 
-  if (preset != "PG1" && preset != "PG2" && preset != "PG5")
+  const auto pg = parsePgPreset(preset);
+  if (!pg)
     return {400, "application/json",
             errorFields("bad preset '" + preset + "' (PG1, PG2, or PG5)")};
   if (viaN < 1 || viaN > config_.maxN)
@@ -436,7 +376,8 @@ ViaductServer::Outcome ViaductServer::handleAnalyze(const JsonObject& request,
   if (!ac)
     return {400, "application/json",
             errorFields("bad arrayCriterion '" + arrayCrit + "'")};
-  if (systemCrit != "ir" && systemCrit != "weakest")
+  const auto sc = GridFailureCriterion::parse(systemCrit);
+  if (!sc)
     return {400, "application/json",
             errorFields("bad systemCriterion '" + systemCrit +
                         "' (ir or weakest)")};
@@ -461,17 +402,11 @@ ViaductServer::Outcome ViaductServer::handleAnalyze(const JsonObject& request,
         config.tuneNominalIrDropFraction = tuneIr;
         config.parallelism = config_.parallelism;
         config.policy = config_.policy;
-        const PgPreset pg = preset == "PG2"   ? PgPreset::kPg2
-                            : preset == "PG5" ? PgPreset::kPg5
-                                              : PgPreset::kPg1;
         // Shares library_, so this analyze's level-1 characterizations
         // dedupe against standalone characterize requests too.
-        PowerGridEmAnalyzer analyzer(generatePgBenchmark(pg), config,
+        PowerGridEmAnalyzer analyzer(generatePgBenchmark(*pg), config,
                                      library_);
-        const auto sc = systemCrit == "weakest"
-                            ? GridFailureCriterion::weakestLink()
-                            : GridFailureCriterion::irDrop(0.10);
-        const auto report = analyzer.analyze(*ac, sc);
+        const auto report = analyzer.analyze(*ac, *sc);
         JsonObjectWriter w;
         w.add("status", "ok")
             .add("preset", preset)
@@ -512,8 +447,7 @@ void ViaductServer::handleConnection(int fd) {
   const auto sendError = [&](const char* status, const std::string& message) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     VIADUCT_COUNTER_ADD("serve.errors", 1);
-    writeHttpResponse(fd, status, "application/json",
-                      "{" + errorFields(message) + "}\n");
+    writeHttpResponse(fd, status, "application/json", errorBody(message));
   };
   switch (read) {
     case ReadResult::kOk: break;
@@ -547,21 +481,11 @@ void ViaductServer::handleConnection(int fd) {
   };
 
   if (request.method == "GET") {
-    if (request.path == "/metrics") {
-      writeHttpResponse(fd, "200 OK", obs::openMetricsContentType(),
-                        obs::openMetricsText());
-    } else if (request.path == "/metrics.json") {
-      writeHttpResponse(fd, "200 OK", "application/json", obs::snapshotJson());
-    } else if (request.path == "/debug/solves") {
-      writeHttpResponse(fd, "200 OK", "application/json",
-                        obs::solveTracesJson());
-    } else if (request.path == "/healthz" || request.path == "/") {
-      writeHttpResponse(fd, "200 OK", "text/plain", "ok\n");
-    } else if (request.path == "/v1/stats") {
+    if (request.path == "/v1/stats") {
       const Outcome outcome = statsOutcome();
       writeHttpResponse(fd, "200 OK", outcome.contentType,
                         "{" + outcome.bodyFields + "}\n");
-    } else {
+    } else if (!writeTelemetryResponse(fd, request.path)) {
       sendError("404 Not Found",
                 "try /healthz, /metrics, /metrics.json, /v1/stats, or POST "
                 "/v1/characterize, /v1/analyze");

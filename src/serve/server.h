@@ -46,6 +46,7 @@
 #include "common/thread_pool.h"
 #include "fault/policy.h"
 #include "serve/json.h"
+#include "serve/protocol.h"
 
 namespace viaduct {
 class ViaArrayLibrary;
@@ -108,8 +109,8 @@ class ViaductServer {
   /// Drains and stops (idempotent).
   ~ViaductServer();
 
-  int port() const { return port_; }
-  std::string endpoint() const;
+  int port() const { return http_->port(); }
+  std::string endpoint() const { return http_->endpoint(); }
 
   /// Stop admitting new requests (503) while existing work completes.
   void beginDrain();
@@ -141,7 +142,9 @@ class ViaductServer {
   };
   using SharedOutcome = std::shared_ptr<const Outcome>;
 
-  void listenLoop();
+  /// The listener's accept handler: 503 while draining, 429 when the
+  /// queue is full, otherwise queue the fd for a worker.
+  void admitConnection(int fd);
   void workerLoop();
   void handleConnection(int fd);
 
@@ -156,11 +159,8 @@ class ViaductServer {
   Outcome statsOutcome() const;
 
   ServerConfig config_;
-  int listenFd_ = -1;
-  std::string host_;
-  int port_ = 0;
 
-  std::thread listener_;
+  std::unique_ptr<HttpListener> http_;
   std::vector<std::thread> workers_;
 
   std::mutex queueMutex_;
@@ -170,7 +170,6 @@ class ViaductServer {
   int busyWorkers_ = 0;
   bool stopping_ = false;                // workers exit once queue empties
 
-  std::atomic<bool> listenerStop_{false};
   std::atomic<bool> draining_{false};
 
   std::mutex inflightMutex_;

@@ -227,4 +227,10 @@ std::string pgPresetName(PgPreset preset) {
   return "?";
 }
 
+std::optional<PgPreset> parsePgPreset(const std::string& name) {
+  for (const PgPreset p : {PgPreset::kPg1, PgPreset::kPg2, PgPreset::kPg5})
+    if (pgPresetName(p) == name) return p;
+  return std::nullopt;
+}
+
 }  // namespace viaduct

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "spice/netlist.h"
@@ -96,5 +97,9 @@ Netlist generatePgBenchmark(PgPreset preset);
 
 /// Human-readable name ("PG1", ...).
 std::string pgPresetName(PgPreset preset);
+
+/// Inverse of pgPresetName: "PG1", "PG2" or "PG5" (exact spelling);
+/// std::nullopt on anything else.
+std::optional<PgPreset> parsePgPreset(const std::string& name);
 
 }  // namespace viaduct

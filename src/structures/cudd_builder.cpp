@@ -19,6 +19,15 @@ std::string patternName(IntersectionPattern p) {
   return "?";
 }
 
+std::optional<IntersectionPattern> parseIntersectionPattern(
+    const std::string& name) {
+  for (const IntersectionPattern p :
+       {IntersectionPattern::kPlus, IntersectionPattern::kT,
+        IntersectionPattern::kL})
+    if (patternName(p) == name) return p;
+  return std::nullopt;
+}
+
 double ViaArraySpec::viaSide() const {
   VIADUCT_REQUIRE(n >= 1 && effectiveArea > 0.0);
   return std::sqrt(effectiveArea) / static_cast<double>(n);

@@ -13,6 +13,7 @@
 // (vertical CTE-mismatch stack) while keeping the mesh tractable.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ namespace viaduct {
 enum class IntersectionPattern { kPlus, kT, kL };
 
 std::string patternName(IntersectionPattern p);
+
+/// Inverse of patternName: "Plus", "T" or "L" (exact spelling);
+/// std::nullopt on anything else.
+std::optional<IntersectionPattern> parseIntersectionPattern(
+    const std::string& name);
 
 /// n×n via array with a fixed total (effective) cross-section area, so
 /// different n compare at equal electrical resistance (Figure 1/7 setup).

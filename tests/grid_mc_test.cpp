@@ -37,6 +37,17 @@ TEST(GridCriterion, Describe) {
   EXPECT_THROW(GridFailureCriterion::irDrop(0.0), PreconditionError);
 }
 
+TEST(GridCriterion, ParsesCliSpelling) {
+  const auto ir = GridFailureCriterion::parse("ir");
+  ASSERT_TRUE(ir.has_value());
+  EXPECT_EQ(ir->describe(), "10% IR-drop");
+  const auto weakest = GridFailureCriterion::parse("weakest");
+  ASSERT_TRUE(weakest.has_value());
+  EXPECT_EQ(weakest->describe(), "weakest-link");
+  for (const char* bad : {"", "wekest", "IR", "weakest-link", "open"})
+    EXPECT_FALSE(GridFailureCriterion::parse(bad).has_value()) << bad;
+}
+
 TEST(GridMc, ProducesOneSamplePerTrial) {
   const PowerGridModel model(tunedGrid());
   auto opts = baseOptions();

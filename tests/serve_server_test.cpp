@@ -53,6 +53,16 @@ TEST(ServeServerTest, RoutesAndErrorCodes) {
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->body.find("# EOF"), std::string::npos);
 
+  const auto json = get(*server, "/metrics.json");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->status, 200);
+  EXPECT_NE(json->body.find("viaduct-obs-v1"), std::string::npos);
+
+  const auto solves = get(*server, "/debug/solves");
+  ASSERT_TRUE(solves.has_value());
+  EXPECT_EQ(solves->status, 200);
+  EXPECT_NE(solves->body.find("viaduct-solve-traces-v1"), std::string::npos);
+
   const auto stats = get(*server, "/v1/stats");
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->status, 200);

@@ -106,6 +106,13 @@ TEST(Generator, PresetsScaleUp) {
   EXPECT_EQ(pgPresetName(PgPreset::kPg5), "PG5");
 }
 
+TEST(Generator, ParsesPresetNames) {
+  for (const PgPreset p : {PgPreset::kPg1, PgPreset::kPg2, PgPreset::kPg5})
+    EXPECT_EQ(parsePgPreset(pgPresetName(p)), p);
+  for (const char* bad : {"", "PG3", "PG9", "pg1", "PG1 ", "PG"})
+    EXPECT_FALSE(parsePgPreset(bad).has_value()) << bad;
+}
+
 TEST(Generator, RejectsBadConfig) {
   GridGeneratorConfig cfg;
   cfg.stripesX = 1;

@@ -119,6 +119,15 @@ TEST(Builder, PatternNames) {
   EXPECT_EQ(patternName(IntersectionPattern::kL), "L");
 }
 
+TEST(Builder, ParsesPatternNames) {
+  for (const IntersectionPattern p :
+       {IntersectionPattern::kPlus, IntersectionPattern::kT,
+        IntersectionPattern::kL})
+    EXPECT_EQ(parseIntersectionPattern(patternName(p)), p);
+  for (const char* bad : {"", "X", "plus", "t", "Plus "})
+    EXPECT_FALSE(parseIntersectionPattern(bad).has_value()) << bad;
+}
+
 TEST(Probes, PerViaStressCountMatchesVias) {
   const auto built = buildViaArrayStructure(coarseSpec(4, IntersectionPattern::kPlus));
   ThermoSolver solver(built.grid);

@@ -22,7 +22,8 @@
 #      serves a repeat; `column_hit_ratio` reports its share; exit is
 #      nonzero on any miss);
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
-#      (registry + JSONL sampler + HTTP listener + a scraper thread) must
+#      (registry + JSONL sampler + the --obs-listen telemetry listener from
+#      serve/protocol + a scraper thread) must
 #      stay within the telemetry overhead budget and keep ttfSamples
 #      bit-identical vs. obs-off across thread counts (BENCH_obs_export.json);
 #   9. the perf_fea_mg smoke: multigrid vs IC(0) end-to-end FEA solve with
@@ -120,9 +121,10 @@ echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
 (cd build/bench && ./perf_grid_scale --smoke)
 
 echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
-# Grid MC with the registry, JSONL sampler, HTTP listener, and a live
-# scraper all running must stay within the overhead budget and produce
-# bit-identical samples vs. obs-off across thread counts.
+# Grid MC with the registry, JSONL sampler, the --obs-listen telemetry
+# listener (serve::startTelemetryListener, the same HTTP transport as the
+# daemon), and a live scraper all running must stay within the overhead
+# budget and produce bit-identical samples vs. obs-off across thread counts.
 (cd build/bench && ./perf_obs_export --smoke)
 
 echo "=== [9/13] perf_fea_mg: multigrid vs IC(0) FEA solve smoke ==="

@@ -37,9 +37,9 @@
 #include "fault/fault.h"
 #include "grid/signoff.h"
 #include "grid/wire_mortality.h"
-#include "obs/http.h"
 #include "obs/obs.h"
 #include "obs/sampler.h"
+#include "serve/protocol.h"
 #include "spice/generator.h"
 #include "spice/parser.h"
 #include "spice/writer.h"
@@ -50,12 +50,16 @@ using namespace viaduct;
 
 namespace {
 
+PgPreset presetFlag(const std::string& preset) {
+  const auto pg = parsePgPreset(preset);
+  if (!pg)
+    throw PreconditionError("unknown preset '" + preset + "' (PG1/PG2/PG5)");
+  return *pg;
+}
+
 Netlist loadGrid(const std::string& netlistPath, const std::string& preset) {
   if (!netlistPath.empty()) return parseSpiceFile(netlistPath);
-  if (preset == "PG1") return generatePgBenchmark(PgPreset::kPg1);
-  if (preset == "PG2") return generatePgBenchmark(PgPreset::kPg2);
-  if (preset == "PG5") return generatePgBenchmark(PgPreset::kPg5);
-  throw PreconditionError("unknown preset '" + preset + "' (PG1/PG2/PG5)");
+  return generatePgBenchmark(presetFlag(preset));
 }
 
 int cmdGenerate(int argc, const char* const* argv) {
@@ -72,10 +76,7 @@ int cmdGenerate(int argc, const char* const* argv) {
   flags.addDouble("amps", &amps, "override total load current (0 = preset)");
   if (!flags.parse(argc, argv)) return 0;
 
-  GridGeneratorConfig cfg =
-      preset == "PG2"   ? pgPresetConfig(PgPreset::kPg2)
-      : preset == "PG5" ? pgPresetConfig(PgPreset::kPg5)
-                        : pgPresetConfig(PgPreset::kPg1);
+  GridGeneratorConfig cfg = pgPresetConfig(presetFlag(preset));
   if (stripes > 0) cfg.stripesX = cfg.stripesY = stripes;
   if (amps > 0.0) cfg.totalCurrentAmps = amps;
   cfg.layers = layers;
@@ -190,9 +191,11 @@ int cmdAnalyze(int argc, const char* const* argv) {
     throw PreconditionError("bad --array-criterion '" + arrayCrit +
                             "' (open, weakest, <k>, or <r>x)");
   const auto ac = *acParsed;
-  const auto sc = systemCrit == "weakest" ? GridFailureCriterion::weakestLink()
-                                          : GridFailureCriterion::irDrop(0.10);
-  const auto report = analyzer.analyze(ac, sc);
+  const auto sc = GridFailureCriterion::parse(systemCrit);
+  if (!sc)
+    throw PreconditionError("bad --system-criterion '" + systemCrit +
+                            "' (ir or weakest)");
+  const auto report = analyzer.analyze(ac, *sc);
   std::cout << "grid: " << analyzer.model().unknownCount() << " nodes, "
             << analyzer.model().viaArrays().size() << " via arrays ("
             << viaN << "x" << viaN << ")\n";
@@ -268,9 +271,10 @@ int cmdCharacterize(int argc, const char* const* argv) {
   if (!primitiveStorePath.empty())
     spec.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
-  spec.pattern = pattern == "T"   ? IntersectionPattern::kT
-                 : pattern == "L" ? IntersectionPattern::kL
-                                  : IntersectionPattern::kPlus;
+  const auto pat = parseIntersectionPattern(pattern);
+  if (!pat)
+    throw PreconditionError("bad --pattern '" + pattern + "' (Plus, T, or L)");
+  spec.pattern = *pat;
   spec.trials = trials;
   spec.parallelism.threads = threads;
   spec.checkpoint.path = checkpointPath;
@@ -502,16 +506,16 @@ int main(int argc, char** argv) {
   // Live telemetry starts before subcommand dispatch so a scrape or the
   // stream sees the whole run, and stops (unique_ptr destructors, final
   // sample included) after writeObsArtifacts on every exit path.
-  std::unique_ptr<obs::TelemetryHttpServer> telemetryServer;
+  std::unique_ptr<serve::HttpListener> telemetryListener;
   std::unique_ptr<obs::MetricsSampler> metricsSampler;
   if (!obsListen.empty()) {
     std::string error;
-    telemetryServer = obs::TelemetryHttpServer::start(obsListen, &error);
-    if (!telemetryServer) {
+    telemetryListener = serve::startTelemetryListener(obsListen, &error);
+    if (!telemetryListener) {
       std::cerr << "error: --obs-listen: " << error << "\n";
       return 1;
     }
-    std::cerr << "telemetry: serving " << telemetryServer->endpoint()
+    std::cerr << "telemetry: serving " << telemetryListener->endpoint()
               << "/metrics\n";
   }
   if (!metricsStream.empty()) {
