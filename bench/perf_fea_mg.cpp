@@ -2,7 +2,7 @@
 // end-to-end stress solves (solver construction + PCG) under the geometric
 // multigrid V-cycle vs the IC(0) baseline, on one thread so the ratio
 // measures algorithmic work, not scheduling. Emits BENCH_fea_mg.json and
-// enforces three gates (nonzero exit on any miss, never on absolute time):
+// enforces four gates (nonzero exit on any miss, never on absolute time):
 //
 //   1. speedup: multigrid must beat IC(0) end-to-end by >= 4x at the full
 //      fig7 8x8 size (>= 1x in --smoke, which runs the 4x4 at coarser
@@ -11,7 +11,13 @@
 //      relative tolerance — the speedup may not buy a different answer;
 //   3. warm primitive store: a characterization re-run against a
 //      just-populated store performs ZERO FEA solves and reproduces the
-//      cold run's raw stress bit-for-bit.
+//      cold run's raw stress bit-for-bit;
+//   4. thread invariance: the multigrid displacement field at 2 threads is
+//      bit-identical to the 1-thread one.
+//
+// It also reports, ungated, the fine-level stencil sweep's cost per node at
+// 1 thread and the share of nodes the sweep covers with vectorized
+// full-width runs (NodeStencilOperator::blockedFraction).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -27,6 +33,8 @@
 #include "common/cli.h"
 #include "common/logging.h"
 #include "common/units.h"
+#include "common/thread_pool.h"
+#include "fea/multigrid.h"
 #include "fea/thermo_solver.h"
 #include "obs/obs.h"
 #include "structures/cudd_builder.h"
@@ -42,18 +50,19 @@ struct SolveSample {
   std::string name;
   double seconds = 0.0;
   int iterations = 0;
-  std::vector<double> viaPeaks;  // calibrated per-via peak stress [MPa]
+  std::vector<double> viaPeaks;      // calibrated per-via peak stress [MPa]
+  std::vector<double> displacement;  // nodal field, x/y/z interleaved
 };
 
 SolveSample runSolve(const BuiltStructure& built, FeaPreconditionerKind kind,
-                     int repeats) {
+                     int repeats, int threads = 1) {
   SolveSample sample;
   sample.name = feaPreconditionerName(kind);
   sample.seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     ThermoSolverOptions opts;
     opts.preconditioner = kind;
-    opts.parallelism.threads = 1;
+    opts.parallelism.threads = threads;
     const auto start = std::chrono::steady_clock::now();
     ThermoSolver solver(built.grid, opts);
     const CgResult cg = solver.solve();
@@ -66,6 +75,14 @@ SolveSample runSolve(const BuiltStructure& built, FeaPreconditionerKind kind,
       sample.viaPeaks.reserve(peaks.size());
       for (const double p : peaks)
         sample.viaPeaks.push_back(kDefaultStressScale * p / units::MPa);
+      const VoxelGrid& g = built.grid;
+      for (Index k = 0; k <= g.nz(); ++k)
+        for (Index j = 0; j <= g.ny(); ++j)
+          for (Index i = 0; i <= g.nx(); ++i) {
+            const auto u = solver.displacement(i, j, k);
+            sample.displacement.insert(sample.displacement.end(), u.begin(),
+                                       u.end());
+          }
     }
   }
   return sample;
@@ -79,6 +96,40 @@ double maxRelDiff(const std::vector<double>& a, const std::vector<double>& b) {
     worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
   }
   return worst;
+}
+
+struct StencilSample {
+  double nsPerNode = 0.0;
+  double blockedFraction = 0.0;
+};
+
+/// Best-of-`repeats` time of one fine-level stencil apply at 1 thread, on
+/// the operator the multigrid solve itself sweeps.
+StencilSample timeFineStencil(const BuiltStructure& built, int repeats) {
+  ThermoSolverOptions opts;
+  opts.preconditioner = FeaPreconditionerKind::kMultigrid;
+  opts.parallelism.threads = 1;
+  const ThermoSolver solver(built.grid, opts);
+  ThreadPool pool(1);
+  const VoxelStressMultigrid mg(built.grid, solver.constrainedMask(),
+                                solver.elementOperators(), opts.multigrid,
+                                &pool);
+  const NodeStencilOperator& op = mg.fineOperator();
+  const auto dofs = static_cast<std::size_t>(op.dofCount());
+  std::vector<double> x(dofs), y(dofs);
+  for (std::size_t i = 0; i < dofs; ++i)
+    x[i] = 1e-9 * static_cast<double>(i % 17) - 8e-9;
+  constexpr int kAppliesPerRepeat = 20;
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < std::max(repeats, 3); ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int a = 0; a < kAppliesPerRepeat; ++a) op.apply(x, y);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - start;
+    best = std::min(best, dt.count() / kAppliesPerRepeat);
+  }
+  return {.nsPerNode = best * 1e9 / static_cast<double>(dofs / 3),
+          .blockedFraction = op.blockedFraction()};
 }
 
 std::int64_t feaSolveCount() {
@@ -124,6 +175,20 @@ int main(int argc, char** argv) {
   const SolveSample ic0 = runSolve(built, FeaPreconditionerKind::kIc0, repeats);
   std::cout << "  ic0  " << ic0.seconds << " s  (" << ic0.iterations
             << " iters)\n";
+
+  // Thread invariance: the same mg solve on a 2-thread pool must reproduce
+  // the 1-thread displacement field bit-for-bit.
+  const SolveSample mg2 =
+      runSolve(built, FeaPreconditionerKind::kMultigrid, 1, /*threads=*/2);
+  const bool mgThreadBitIdentical = mg2.displacement == mg.displacement;
+  std::cout << "  mg at 2 threads: displacement "
+            << (mgThreadBitIdentical ? "bit-identical" : "DIFFERS")
+            << " to 1 thread\n";
+
+  const StencilSample stencil = timeFineStencil(built, repeats);
+  std::cout << "  fine stencil apply " << stencil.nsPerNode
+            << " ns/node (1 thread), " << 100.0 * stencil.blockedFraction
+            << "% of nodes in full-width runs\n";
 
   const double speedup = ic0.seconds / mg.seconds;
   const double parity = maxRelDiff(mg.viaPeaks, ic0.viaPeaks);
@@ -172,7 +237,13 @@ int main(int argc, char** argv) {
      << ",\n  \"via_peak_max_rel_diff\": " << parity
      << ",\n  \"warm_store_fea_solves\": " << warmSolves
      << ",\n  \"warm_store_bit_identical\": "
-     << (warmBitIdentical ? "true" : "false") << "\n}\n";
+     << (warmBitIdentical ? "true" : "false")
+     << ",\n  \"mg_bit_identical_1_2_threads\": "
+     << (mgThreadBitIdentical ? "true" : "false")
+     << ",\n  \"stencil_ns_per_node\": " << stencil.nsPerNode
+     << ",\n  \"blocked_fraction\": " << stencil.blockedFraction
+     << ",\n  \"hardware_concurrency\": "
+     << ThreadPool::hardwareConcurrency() << "\n}\n";
   std::cout << "wrote " << out << "\n";
 
   bool ok = true;
@@ -193,6 +264,10 @@ int main(int argc, char** argv) {
   }
   if (!warmBitIdentical) {
     std::cerr << "FAIL: warm-store raw stress differs from the cold run\n";
+    ok = false;
+  }
+  if (!mgThreadBitIdentical) {
+    std::cerr << "FAIL: mg displacement differs between 1 and 2 threads\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -83,23 +83,13 @@ struct VoxelStressMultigrid::Level {
 
   // V-cycle scratch (one cycle at a time; see class comment). r/z hold the
   // restricted residual / coarse correction when this level is visited from
-  // above; work is the residual buffer; smoothD/smoothAd carry the
-  // Chebyshev direction vector and its operator image.
-  mutable std::vector<double> r, z, work, smoothD, smoothAd;
+  // above; work is the residual buffer; smoothD carries the Chebyshev
+  // direction vector.
+  mutable std::vector<double> r, z, work, smoothD;
 
   explicit Level(VoxelGrid g)
       : grid(std::move(g)), nodes(grid.nodeCount()) {}
 };
-
-namespace {
-
-/// y = A x on one level: a deterministic row-partitioned SpMV over the
-/// level's assembled stiffness (constrained dofs are identity rows there).
-void applyLevelOperator(const VoxelStressMultigrid::Level& lvl,
-                        std::span<const double> x, std::span<double> y,
-                        ThreadPool* pool);
-
-}  // namespace
 
 VoxelStressMultigrid::VoxelStressMultigrid(
     const VoxelGrid& grid, const std::vector<bool>& constrained,
@@ -115,21 +105,21 @@ VoxelStressMultigrid::VoxelStressMultigrid(
                   options_.coarseDofLimit >= 81 && options_.maxLevels >= 1);
   buildHierarchy(grid, constrained, cellOperators);
   VIADUCT_GAUGE_SET("fea.mg_levels", levelCount());
+  // The fine level carries nearly all sweep work, so its share of
+  // full-width runs is the one that explains a solve's speed.
+  VIADUCT_GAUGE_SET("fea.stencil_blocked_fraction",
+                    fineOperator().blockedFraction());
 }
 
 VoxelStressMultigrid::~VoxelStressMultigrid() = default;
 
-const NodeStencilOperator& VoxelStressMultigrid::fineOperator() const {
-  return levels_.front()->op;
+const NodeStencilOperator& VoxelStressMultigrid::levelOperator(
+    int level) const {
+  VIADUCT_REQUIRE(level >= 0 && (level == 0 || level + 1 < levelCount()));
+  return levels_[static_cast<std::size_t>(level)]->op;
 }
 
 namespace {
-
-void applyLevelOperator(const VoxelStressMultigrid::Level& lvl,
-                        std::span<const double> x, std::span<double> y,
-                        ThreadPool* /*pool*/) {
-  lvl.op.apply(x, y);
-}
 
 /// Galerkin composite PᵀKP of a coarse cell from its children: P is the
 /// trilinear interpolation from the coarse cell's 8 corners to a child's 8
@@ -303,7 +293,7 @@ double estimateBlockJacobiLambdaMax(const VoxelStressMultigrid::Level& lvl,
     parallelFor(pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
       v[static_cast<std::size_t>(i)] *= invNorm;
     });
-    applyLevelOperator(lvl, v, av, pool);
+    lvl.op.apply(v, av);
     applyBlockInverse(lvl, av, av, pool);
     parallelFor(pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
       if (lvl.constrained[static_cast<std::size_t>(i)])
@@ -496,7 +486,6 @@ void VoxelStressMultigrid::buildHierarchy(
                                    pool_);
     if (l + 1 < levels_.size()) {
       lvl.smoothD.assign(dofs, 0.0);
-      lvl.smoothAd.assign(dofs, 0.0);
       buildLevelBlocks(lvl, pool_);
       lvl.lambdaMax = estimateBlockJacobiLambdaMax(lvl, pool_);
     }
@@ -546,58 +535,66 @@ void VoxelStressMultigrid::buildHierarchy(
 // one block-inverse apply per degree; |q(t)| < 1 on (0, b] for the error
 // polynomial q, so the smoother alone converges and the symmetric
 // V(k,k) cycle stays SPD. The zero-guess pre-smooth skips the (zero)
-// initial operator apply.
+// initial operator apply. Every step is one stencil sweep whose per-node
+// epilogue does the step's vector updates, which only touch that node.
 void VoxelStressMultigrid::smooth(const Level& lvl, std::span<const double> r,
                                   std::span<double> z, int steps,
                                   bool zeroGuess) const {
-  const std::int64_t dofs = static_cast<std::int64_t>(lvl.nodes) * 3;
   const double b = options_.lambdaMaxSafety * lvl.lambdaMax;
   const double a = b / options_.chebyshevEigRatio;
   const double theta = 0.5 * (b + a);
   const double delta = 0.5 * (b - a);
   const double sigma1 = theta / delta;
   double rho = 1.0 / sigma1;
+  double* const work = lvl.work.data();
+  double* const d = lvl.smoothD.data();
 
-  // res = r − A z (just r on a zero guess) into work.
+  // res = r − A z (just r on a zero guess) into work, then
+  // d = (1/θ) D⁻¹ res; z ⇐ z + d.
+  const double invTheta = 1.0 / theta;
+  const auto firstStep = [&](std::size_t n, const double* res) {
+    const double* m = &lvl.blockInv[n * 9];
+    double* wn = work + n * 3;
+    for (int p = 0; p < 3; ++p) wn[p] = res[p];
+    for (int p = 0; p < 3; ++p) {
+      d[n * 3 + p] =
+          (m[p * 3] * wn[0] + m[p * 3 + 1] * wn[1] + m[p * 3 + 2] * wn[2]) *
+          invTheta;
+      if (zeroGuess)
+        z[n * 3 + p] = d[n * 3 + p];
+      else
+        z[n * 3 + p] += d[n * 3 + p];
+    }
+  };
   if (zeroGuess) {
-    parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-      lvl.work[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
+    parallelFor(pool_, 0, lvl.nodes, kNodeGrain, [&](std::int64_t ni) {
+      const auto n = static_cast<std::size_t>(ni);
+      firstStep(n, &r[n * 3]);
     });
   } else {
-    applyLevelOperator(lvl, z, lvl.work, pool_);
-    parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-      lvl.work[static_cast<std::size_t>(i)] =
-          r[static_cast<std::size_t>(i)] -
-          lvl.work[static_cast<std::size_t>(i)];
+    lvl.op.sweep(z, [&](std::size_t n, const double* az) {
+      const double res[3] = {r[n * 3] - az[0], r[n * 3 + 1] - az[1],
+                             r[n * 3 + 2] - az[2]};
+      firstStep(n, res);
     });
   }
-  // d = (1/θ) D⁻¹ res; z ⇐ z + d.
-  applyBlockInverse(lvl, lvl.work, lvl.smoothD, pool_);
-  const double invTheta = 1.0 / theta;
-  parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-    lvl.smoothD[static_cast<std::size_t>(i)] *= invTheta;
-    if (zeroGuess)
-      z[static_cast<std::size_t>(i)] = lvl.smoothD[static_cast<std::size_t>(i)];
-    else
-      z[static_cast<std::size_t>(i)] +=
-          lvl.smoothD[static_cast<std::size_t>(i)];
-  });
 
   for (int k = 1; k < steps; ++k) {
     // res ⇐ res − A d, then d ⇐ ρ'ρ d + (2ρ'/δ) D⁻¹ res, z ⇐ z + d.
-    applyLevelOperator(lvl, lvl.smoothD, lvl.smoothAd, pool_);
-    parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-      lvl.work[static_cast<std::size_t>(i)] -=
-          lvl.smoothAd[static_cast<std::size_t>(i)];
-    });
-    applyBlockInverse(lvl, lvl.work, lvl.smoothAd, pool_);
     const double rhoNew = 1.0 / (2.0 * sigma1 - rho);
     const double cd = rhoNew * rho;
     const double cr = 2.0 * rhoNew / delta;
-    parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-      const auto s = static_cast<std::size_t>(i);
-      lvl.smoothD[s] = cd * lvl.smoothD[s] + cr * lvl.smoothAd[s];
-      z[s] += lvl.smoothD[s];
+    lvl.op.sweep(lvl.smoothD, [&](std::size_t n, const double* ad) {
+      const double* m = &lvl.blockInv[n * 9];
+      double* wn = work + n * 3;
+      for (int p = 0; p < 3; ++p) wn[p] -= ad[p];
+      double dr[3];
+      for (int p = 0; p < 3; ++p)
+        dr[p] = m[p * 3] * wn[0] + m[p * 3 + 1] * wn[1] + m[p * 3 + 2] * wn[2];
+      for (int p = 0; p < 3; ++p) {
+        d[n * 3 + p] = cd * d[n * 3 + p] + cr * dr[p];
+        z[n * 3 + p] += d[n * 3 + p];
+      }
     });
     rho = rhoNew;
   }
@@ -618,12 +615,7 @@ void VoxelStressMultigrid::vcycle(std::size_t level, std::span<const double> r,
   smooth(lvl, r, z, pre, /*zeroGuess=*/true);
 
   // Residual, restricted to the coarse level (gather per coarse node).
-  applyLevelOperator(lvl, z, lvl.work, pool_);
-  const std::int64_t dofs = static_cast<std::int64_t>(lvl.nodes) * 3;
-  parallelFor(pool_, 0, dofs, kDofGrain, [&](std::int64_t i) {
-    lvl.work[static_cast<std::size_t>(i)] =
-        r[static_cast<std::size_t>(i)] - lvl.work[static_cast<std::size_t>(i)];
-  });
+  lvl.op.residual(r, z, lvl.work);
   parallelFor(pool_, 0, next.nodes, kNodeGrain, [&](std::int64_t cn) {
     const Index begin = lvl.restrictPtr[static_cast<std::size_t>(cn)];
     const Index end = lvl.restrictPtr[static_cast<std::size_t>(cn) + 1];

@@ -105,7 +105,11 @@ class VoxelStressMultigrid final : public Preconditioner {
   /// also uses this as CG's operator, so the whole solve — matvec and
   /// preconditioner — runs on the compressed engine instead of re-gathering
   /// element blocks every apply.
-  const NodeStencilOperator& fineOperator() const;
+  const NodeStencilOperator& fineOperator() const { return levelOperator(0); }
+
+  /// The stencil operator of `level`: every level but the dense-solved
+  /// coarsest one has one (level 0 always does).
+  const NodeStencilOperator& levelOperator(int level) const;
 
   /// Opaque per-level data; public so the implementation's file-local
   /// kernels (operator apply, smoother, λmax estimator) can take it.

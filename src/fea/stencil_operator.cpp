@@ -1,5 +1,6 @@
 #include "fea/stencil_operator.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/check.h"
@@ -27,7 +28,7 @@ NodeStencilOperator::NodeStencilOperator(
                       static_cast<std::size_t>(grid.cellCount()));
 
   // Halo layout: one ghost node ring on every side, always zero, so the
-  // apply sweep needs no bounds checks.
+  // sweep needs no bounds checks; one plane per displacement component.
   const std::ptrdiff_t hRow = nx_ + 3;
   const std::ptrdiff_t hSlab = hRow * (ny_ + 3);
   for (int dk = -1; dk <= 1; ++dk)
@@ -36,9 +37,8 @@ NodeStencilOperator::NodeStencilOperator(
         offsets_[static_cast<std::size_t>((di + 1) + 3 * (dj + 1) +
                                           9 * (dk + 1))] =
             di + hRow * dj + hSlab * dk;
-  halo_.assign(static_cast<std::size_t>(hSlab) *
-                   static_cast<std::size_t>(nz_ + 3) * 3,
-               0.0);
+  plane_ = static_cast<std::size_t>(hSlab) * static_cast<std::size_t>(nz_ + 3);
+  halo_.assign(plane_ * 3, 0.0);
 
   // Dictionary build: the stencil of a node is a function of its 8
   // adjacent element operators only (constraints are handled outside the
@@ -137,59 +137,84 @@ NodeStencilOperator::NodeStencilOperator(
   }
   VIADUCT_GAUGE_SET("fea.stencil_patterns",
                     static_cast<std::int64_t>(distinctStencils()));
+
+  // Row runs: each maximal stretch of one pattern id along an x-row splits
+  // into full-width runs of kLanes nodes plus one scalar remainder run.
+  const Index rows = (ny_ + 1) * (nz_ + 1);
+  rowGrain_ = std::max<std::int64_t>(1, kNodeGrain / nodesPerRow);
+  rowRuns_.reserve(static_cast<std::size_t>(rows) + 1);
+  Index blockedNodes = 0;
+  for (Index row = 0; row < rows; ++row) {
+    rowRuns_.push_back(static_cast<Index>(runs_.size()));
+    const Index rowEnd = (row + 1) * nodesPerRow;
+    for (Index node = row * nodesPerRow; node < rowEnd;) {
+      const Index pattern = patternId_[static_cast<std::size_t>(node)];
+      Index end = node + 1;
+      while (end < rowEnd &&
+             patternId_[static_cast<std::size_t>(end)] == pattern)
+        ++end;
+      for (; end - node >= kLanes; node += kLanes) {
+        runs_.push_back({node, pattern, kLanes});
+        blockedNodes += kLanes;
+      }
+      if (node < end) runs_.push_back({node, pattern, end - node});
+      node = end;
+    }
+  }
+  rowRuns_.push_back(static_cast<Index>(runs_.size()));
+  blockedFraction_ = nodes_ > 0 ? static_cast<double>(blockedNodes) /
+                                      static_cast<double>(nodes_)
+                                : 0.0;
+}
+
+void NodeStencilOperator::gather(std::span<const double> x) const {
+  // Masked copy of x: constrained dofs become zero (the symmetric Dirichlet
+  // "dropped column"); ghost entries stay zero.
+  const Index nodesPerRow = nx_ + 1;
+  const Index rowsPerSlab = ny_ + 1;
+  const std::ptrdiff_t hRow = nx_ + 3;
+  const std::ptrdiff_t hSlab = hRow * (ny_ + 3);
+  double* hx = halo_.data();
+  double* hy = hx + plane_;
+  double* hz = hy + plane_;
+  const std::int64_t rows = static_cast<std::int64_t>(rowsPerSlab) * (nz_ + 1);
+  parallelFor(pool_, 0, rows, rowGrain_, [&](std::int64_t row) {
+    const auto J = static_cast<Index>(row % rowsPerSlab);
+    const auto K = static_cast<Index>(row / rowsPerSlab);
+    const std::ptrdiff_t h0 = 1 + hRow * (J + 1) + hSlab * (K + 1);
+    const auto dof0 = static_cast<std::size_t>(row) *
+                      static_cast<std::size_t>(nodesPerRow) * 3;
+    for (Index I = 0; I < nodesPerRow; ++I) {
+      const std::size_t dof = dof0 + static_cast<std::size_t>(I) * 3;
+      const std::ptrdiff_t h = h0 + I;
+      hx[h] = constrained_[dof + 0] ? 0.0 : x[dof + 0];
+      hy[h] = constrained_[dof + 1] ? 0.0 : x[dof + 1];
+      hz[h] = constrained_[dof + 2] ? 0.0 : x[dof + 2];
+    }
+  });
 }
 
 void NodeStencilOperator::apply(std::span<const double> x,
                                 std::span<double> y) const {
-  VIADUCT_REQUIRE(x.size() == static_cast<std::size_t>(nodes_) * 3 &&
-                  y.size() == x.size());
-  const Index nodesPerRow = nx_ + 1;
-  const Index nodesPerSlab = nodesPerRow * (ny_ + 1);
-  const std::ptrdiff_t hRow = nx_ + 3;
-  const std::ptrdiff_t hSlab = hRow * (ny_ + 3);
-
-  // Gather x into the halo with constrained dofs masked to zero (the
-  // symmetric Dirichlet "dropped column"). Ghost entries stay zero.
-  parallelFor(pool_, 0, nodes_, kNodeGrain, [&](std::int64_t ni) {
-    const Index node = static_cast<Index>(ni);
-    const Index K = node / nodesPerSlab;
-    const Index rem = node % nodesPerSlab;
-    const Index J = rem / nodesPerRow;
-    const Index I = rem % nodesPerRow;
-    const auto h = static_cast<std::size_t>((I + 1) + hRow * (J + 1) +
-                                            hSlab * (K + 1));
-    for (int d = 0; d < 3; ++d) {
-      const auto dof = static_cast<std::size_t>(node) * 3 +
-                       static_cast<std::size_t>(d);
-      halo_[h * 3 + static_cast<std::size_t>(d)] =
-          constrained_[dof] ? 0.0 : x[dof];
-    }
+  VIADUCT_REQUIRE(y.size() == x.size());
+  sweep(x, [&](std::size_t node, const double* ax) {
+    double* yn = &y[node * 3];
+    yn[0] = ax[0];
+    yn[1] = ax[1];
+    yn[2] = ax[2];
   });
+}
 
-  parallelFor(pool_, 0, nodes_, kNodeGrain, [&](std::int64_t ni) {
-    const Index node = static_cast<Index>(ni);
-    const Index K = node / nodesPerSlab;
-    const Index rem = node % nodesPerSlab;
-    const Index J = rem / nodesPerRow;
-    const Index I = rem % nodesPerRow;
-    const auto h = static_cast<std::ptrdiff_t>(I + 1) + hRow * (J + 1) +
-                   hSlab * (K + 1);
-    const double* st =
-        &table_[static_cast<std::size_t>(
-                    patternId_[static_cast<std::size_t>(node)]) *
-                kStencilSize];
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0;
-    for (int t = 0; t < 27; ++t, st += 9) {
-      const double* xb = &halo_[static_cast<std::size_t>(h + offsets_[t]) * 3];
-      const double x0 = xb[0], x1 = xb[1], x2 = xb[2];
-      a0 += st[0] * x0 + st[1] * x1 + st[2] * x2;
-      a1 += st[3] * x0 + st[4] * x1 + st[5] * x2;
-      a2 += st[6] * x0 + st[7] * x1 + st[8] * x2;
-    }
-    const auto dof = static_cast<std::size_t>(node) * 3;
-    y[dof + 0] = constrained_[dof + 0] ? x[dof + 0] : a0;
-    y[dof + 1] = constrained_[dof + 1] ? x[dof + 1] : a1;
-    y[dof + 2] = constrained_[dof + 2] ? x[dof + 2] : a2;
+void NodeStencilOperator::residual(std::span<const double> b,
+                                   std::span<const double> x,
+                                   std::span<double> r) const {
+  VIADUCT_REQUIRE(b.size() == x.size() && r.size() == x.size());
+  sweep(x, [&](std::size_t node, const double* ax) {
+    const double* bn = &b[node * 3];
+    double* rn = &r[node * 3];
+    rn[0] = bn[0] - ax[0];
+    rn[1] = bn[1] - ax[1];
+    rn[2] = bn[2] - ax[2];
   });
 }
 

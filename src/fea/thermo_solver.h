@@ -112,6 +112,13 @@ class ThermoSolver {
   /// Per-dof Dirichlet mask (3 dof per node, x/y/z interleaved).
   const std::vector<bool>& constrainedMask() const { return constrained_; }
 
+  /// Per-cell element operators in cell-index order (cells of one material
+  /// and size share one entry) — what a VoxelStressMultigrid over this
+  /// solver's system is built from.
+  const std::vector<const Hex8Operators*>& elementOperators() const {
+    return cellOps_;
+  }
+
   /// The preconditioner in effect: the configured kind, or the ladder's
   /// degraded kind after a multigrid solve failed and retried on IC(0).
   FeaPreconditionerKind activePreconditioner() const { return activeKind_; }
