@@ -10,6 +10,11 @@
 //     backend — a charitable baseline), measured over fewer trials at the
 //     large sizes and reported per-trial; `baseline_trials_measured` records
 //     exactly how many trials the baseline number averages.
+// It times one incidence column G0⁻¹·(e_i − e_j) per probe array both ways:
+// the seeded, reach-limited SpdFactor::solveIncidence and the dense solve
+// of e_i − e_j (medians over the probes), reports the share of the factor's
+// panel entries the seeded forward sweep reads, and checks the two columns
+// are bit-identical.
 // It also counts the factored solves of the shared-base Monte Carlo per
 // array failure (at most one incidence column each — none when the model's
 // column cache already holds it — plus one per rebase; the fixed
@@ -21,10 +26,12 @@
 // counts.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
-// the parity, speedup and solves-per-failure gates; tier-1 runs it on every
-// commit.
+// the parity, speedup, solves-per-failure and seeded-column bit-identity
+// gates; tier-1 runs it on every commit.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -34,10 +41,12 @@
 #include "common/check.h"
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "grid/grid_mc.h"
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
+#include "numerics/supernodal_cholesky.h"
 #include "obs/obs.h"
 
 using namespace viaduct;
@@ -52,6 +61,14 @@ struct Point {
   double fillRatio = 0.0;
   double factorSeconds = 0.0;
   double perFailureSeconds = 0.0;
+  // One incidence column per probe array: seeded (reach-limited) and dense
+  // solve times, medians over the probes; the median share of panel
+  // entries the seeded forward sweep reads; and whether every seeded
+  // column was bit-identical to its dense solve.
+  double incidenceSeededMs = 0.0;
+  double incidenceDenseMs = 0.0;
+  double forwardReachFraction = 0.0;
+  bool incidenceBitIdentical = true;
   int sharedTrials = 0;
   double sharedSecondsPerTrial = 0.0;
   int baselineTrialsMeasured = 0;
@@ -79,6 +96,58 @@ double seconds(const std::chrono::steady_clock::time_point& start) {
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - start;
   return dt.count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// The via arrays the per-failure and incidence-column probes open: up to
+/// eight, spread evenly over the model's sites.
+std::vector<int> probeArrays(const PowerGridModel& model) {
+  const int count = static_cast<int>(model.viaArrays().size());
+  const int probes = std::min(8, count);
+  std::vector<int> arrays;
+  for (int f = 0; f < probes; ++f) arrays.push_back(f * count / probes);
+  return arrays;
+}
+
+/// Times the seeded and the dense incidence-column solve on the model's
+/// supernodal base factor for every probe array, and checks their bits.
+void measureIncidenceSolves(const PowerGridModel& model, Point& p) {
+  const auto& factor =
+      dynamic_cast<const SupernodalCholesky&>(*model.baseFactor());
+  constexpr int kRepeats = 3;
+  std::vector<double> seededMs;
+  std::vector<double> denseMs;
+  std::vector<double> reach;
+  for (const int array : probeArrays(model)) {
+    const ViaArraySite& site = model.viaArrays()[array];
+    std::vector<double> seededTimes;
+    std::vector<double> denseTimes;
+    for (int r = 0; r < kRepeats; ++r) {
+      auto t0 = std::chrono::steady_clock::now();
+      const std::vector<double> seeded = factor.solveIncidence(site.a, site.b);
+      seededTimes.push_back(1e3 * seconds(t0));
+      t0 = std::chrono::steady_clock::now();
+      std::vector<double> a(static_cast<std::size_t>(factor.size()), 0.0);
+      a[static_cast<std::size_t>(site.a)] = 1.0;
+      a[static_cast<std::size_t>(site.b)] = -1.0;
+      const std::vector<double> dense = factor.solve(a);
+      denseTimes.push_back(1e3 * seconds(t0));
+      if (std::memcmp(seeded.data(), dense.data(),
+                      dense.size() * sizeof(double)) != 0)
+        p.incidenceBitIdentical = false;
+    }
+    seededMs.push_back(median(seededTimes));
+    denseMs.push_back(median(denseTimes));
+    reach.push_back(factor.forwardReachFraction(site.a, site.b));
+  }
+  p.incidenceSeededMs = median(seededMs);
+  p.incidenceDenseMs = median(denseMs);
+  p.forwardReachFraction = median(reach);
 }
 
 GridMcOptions mcOptions(int trials, int maxFailures) {
@@ -144,17 +213,16 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
   // Per-failure update cost: open a spread of arrays in one session.
   {
     PowerGridModel::Session session(model);
-    const int failures =
-        std::min<int>(8, static_cast<int>(model.viaArrays().size()));
+    const std::vector<int> arrays = probeArrays(model);
     t0 = std::chrono::steady_clock::now();
-    for (int f = 0; f < failures; ++f) {
-      session.openArray(f * static_cast<int>(model.viaArrays().size()) /
-                        failures);
+    for (const int array : arrays) {
+      session.openArray(array);
       const auto sol = session.solve();
       VIADUCT_CHECK(sol.solverOk);
     }
-    p.perFailureSeconds = seconds(t0) / failures;
+    p.perFailureSeconds = seconds(t0) / static_cast<double>(arrays.size());
   }
+  measureIncidenceSolves(model, p);
 
   // End-to-end Monte Carlo, shared base.
   auto& registry = obs::Registry::instance();
@@ -248,6 +316,11 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"fill_ratio\": " << p.fillRatio
      << ", \"factor_seconds\": " << p.factorSeconds
      << ", \"per_failure_update_seconds\": " << p.perFailureSeconds
+     << ", \"incidence_solve_ms\": {\"seeded\": " << p.incidenceSeededMs
+     << ", \"dense\": " << p.incidenceDenseMs << "}"
+     << ", \"forward_reach_fraction\": " << p.forwardReachFraction
+     << ", \"incidence_bit_identical\": "
+     << (p.incidenceBitIdentical ? "true" : "false")
      << ", \"shared_trials\": " << p.sharedTrials
      << ", \"shared_seconds_per_trial\": " << p.sharedSecondsPerTrial
      << ", \"baseline_trials_measured\": " << p.baselineTrialsMeasured
@@ -309,7 +382,10 @@ int main(int argc, char** argv) {
               << p.baselineSecondsPerTrial << " s ("
               << p.baselineTrialsMeasured << " trials) -> speedup "
               << p.speedup << "x, " << p.solvesPerFailure
-              << " solves/failure, column hit ratio " << p.columnHitRatio;
+              << " solves/failure, column hit ratio " << p.columnHitRatio
+              << ", incidence column " << p.incidenceSeededMs
+              << " ms seeded vs " << p.incidenceDenseMs << " ms dense (reach "
+              << p.forwardReachFraction << ")";
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";
@@ -321,6 +397,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   os << "{\n  \"smoke\": " << (smoke ? "true" : "false")
+     << ",\n  \"hardware_concurrency\": "
+     << ThreadPool::hardwareConcurrency()
      << ",\n  \"solver\": \"supernodal+amd\",\n  \"baseline\": "
         "\"factorization-per-trial, supernodal+amd\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i)
@@ -332,7 +410,8 @@ int main(int argc, char** argv) {
   // Gates. Parity everywhere it was measured; a conservative speedup floor
   // in smoke mode, the paper-level 5x floor for the full sweep's largest
   // mesh; determinism wherever the thread sweep ran; at most one factored
-  // solve per array failure plus one per rebase.
+  // solve per array failure plus one per rebase; seeded incidence columns
+  // bit-identical to the dense solve at every size.
   bool pass = true;
   for (const Point& p : points) {
     const double solveBudget =
@@ -344,6 +423,12 @@ int main(int argc, char** argv) {
                 << " factored solves per array failure (budget "
                 << solveBudget << ", " << p.mcFailures
                 << " failures counted) at n=" << p.nodes << "\n";
+      pass = false;
+    }
+    if (!p.incidenceBitIdentical) {
+      std::cerr << "FAIL: a seeded incidence column differs from its dense "
+                   "solve at n="
+                << p.nodes << "\n";
       pass = false;
     }
     if (p.parityMaxRelDiff > 1e-10) {

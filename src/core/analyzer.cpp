@@ -143,8 +143,11 @@ GridTtfReport PowerGridEmAnalyzer::analyze(
   options.policy = config_.policy;
   options.checkpoint = config_.checkpoint;
   if (config_.wireEmAudit) {
-    options.wireEm.trees =
-        WireTreeSet::build(netlist_, config_.wireGeometry);
+    // netlist_ and the geometry are fixed after construction, so the first
+    // audited analysis decomposes the wires for every later one.
+    if (!wireTrees_)
+      wireTrees_ = WireTreeSet::build(netlist_, config_.wireGeometry);
+    options.wireEm.trees = wireTrees_;
     options.wireEm.mode = config_.emMode;
     options.wireEm.stressMarginPa = config_.wireStressMarginPa;
     options.wireEm.params = config_.wireEmParams;

@@ -145,6 +145,9 @@ class PowerGridEmAnalyzer {
   std::unique_ptr<PowerGridModel> model_;
   std::vector<IntersectionPattern> sitePatterns_;
   double nominalIrDropFraction_ = 0.0;
+  /// The wire-tree decomposition of netlist_, built by the first analyze()
+  /// with the wire-EM audit on.
+  std::shared_ptr<const WireTreeSet> wireTrees_;
 };
 
 }  // namespace viaduct

@@ -51,8 +51,10 @@ struct TrialWorkspace {
   std::vector<double> budget;
   std::vector<double> damage;
   std::vector<double> rates;
-  /// Wire-EM audit buffers (sized once per chunk when the audit is on).
+  /// Wire-EM audit buffers (sized once per chunk when the audit is on)
+  /// and the run's resolved wire terminals, shared by every chunk.
   WireTreeSet::Scratch emScratch;
+  const WireTreeSet::Terminals* emTerminals = nullptr;
 };
 
 /// One trial of sequential array failures (damage-accumulation form of
@@ -97,7 +99,7 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
   auto auditConfig = [&](const PowerGridModel::DcSolution& s) {
     if (!wireAudit) return;
     const WireTreeSet::Audit audit = options.wireEm.trees->audit(
-        model, s, options.wireEm.mode, options.wireEm.stressMarginPa,
+        *ws.emTerminals, s, options.wireEm.mode, options.wireEm.stressMarginPa,
         options.wireEm.params, ws.emScratch);
     if (wireAuditedOut) ++*wireAuditedOut;
     if (wireMortalOut && audit.anyMortal()) ++*wireMortalOut;
@@ -325,10 +327,16 @@ GridMcResult runGridMonteCarlo(const PowerGridModel& model,
   ProgressReporter progress("grid_mc", options.trials,
                             std::move(progressOptions));
   progress.seedCompleted(result.resumedTrials);
+  const WireTreeSet::Terminals emTerminals =
+      wireAudit ? options.wireEm.trees->resolve(model)
+                : WireTreeSet::Terminals{};
   pool.runChunks(
       0, options.trials, kTrialChunk, [&](std::int64_t lo, std::int64_t hi) {
         TrialWorkspace ws;
-        if (wireAudit) ws.emScratch = options.wireEm.trees->makeScratch();
+        if (wireAudit) {
+          ws.emScratch = options.wireEm.trees->makeScratch();
+          ws.emTerminals = &emTerminals;
+        }
         for (std::int64_t trial = lo; trial < hi; ++trial) {
           const auto idx = static_cast<std::size_t>(trial);
           if (done[idx]) continue;  // restored from the checkpoint

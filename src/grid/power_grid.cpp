@@ -203,6 +203,17 @@ double PowerGridModel::nodeVoltage(Index netlistNode,
       nodeToUnknown_[static_cast<std::size_t>(netlistNode)])];
 }
 
+PowerGridModel::NodeTerminal PowerGridModel::resolveNode(
+    Index netlistNode) const {
+  if (netlistNode == kGroundNode) return {};
+  VIADUCT_REQUIRE(netlistNode >= 0 &&
+                  static_cast<std::size_t>(netlistNode) <
+                      nodeToUnknown_.size());
+  const auto node = static_cast<std::size_t>(netlistNode);
+  if (nodeIsKnown_[node]) return {kGroundNode, nodeKnownVoltage_[node]};
+  return {nodeToUnknown_[node], 0.0};
+}
+
 PowerGridModel::DcSolution PowerGridModel::evaluate(
     const WoodburySolver& solver, const std::vector<double>& arrayOhms) const {
   VIADUCT_COUNTER_ADD("power_grid.solves", 1);

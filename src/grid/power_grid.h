@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,22 @@ class PowerGridModel {
   /// read from `solution.voltages`, pad nodes return their source value,
   /// ground returns 0.
   double nodeVoltage(Index netlistNode, const DcSolution& solution) const;
+
+  /// A netlist node resolved against the reduced system: the unknown's
+  /// index into DcSolution::voltages, or kGroundNode with the node's fixed
+  /// voltage (a pad's source value, 0 for ground). Hot loops resolve once
+  /// and read by index; nodeVoltage() stays the checked reference.
+  struct NodeTerminal {
+    Index unknown = kGroundNode;
+    double fixedVoltage = 0.0;
+    /// The node's voltage under a successful solution's `voltages`; the
+    /// same value nodeVoltage() returns.
+    double voltage(std::span<const double> voltages) const {
+      return unknown >= 0 ? voltages[static_cast<std::size_t>(unknown)]
+                          : fixedVoltage;
+    }
+  };
+  NodeTerminal resolveNode(Index netlistNode) const;
 
   /// A mutable failure session over this grid: degrade via arrays one at a
   /// time and re-evaluate cheaply (Woodbury incremental updates).

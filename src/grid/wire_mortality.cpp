@@ -145,6 +145,7 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
   std::uint64_t digest = 1469598103934665603ull;
   std::vector<int> componentVertex(static_cast<std::size_t>(vertexCount), -1);
   std::vector<char> edgeSeen(edges.size(), 0);
+  std::vector<Segment> cyclic;
   for (std::size_t seedEdge = 0; seedEdge < edges.size(); ++seedEdge) {
     if (edgeSeen[seedEdge]) continue;
     // BFS this component, assigning local node ids in discovery order.
@@ -173,7 +174,7 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
 
     if (static_cast<int>(localEdges.size()) == localNodes - 1) {
       // A tree: hand it to the linear-time steady-state solver.
-      const int branchOffset = set->branchCount();
+      const auto branchOffset = static_cast<int>(set->segments_.size());
       std::vector<SteadyBranch> branches;
       branches.reserve(localEdges.size());
       for (int edgeIdx : localEdges) {
@@ -184,9 +185,7 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
         branch.length = geometry.segmentLength;
         branch.area = geometry.crossSectionArea;
         branches.push_back(branch);
-        set->branchNodeA_.push_back(edge.a);
-        set->branchNodeB_.push_back(edge.b);
-        set->branchConductance_.push_back(edge.conductance);
+        set->segments_.push_back(Segment{edge.a, edge.b, edge.conductance});
       }
       set->trees_.push_back(
           Tree{SteadyStateTreeSolver(localNodes, std::move(branches)),
@@ -201,8 +200,7 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
       ++set->cyclicComponents_;
       for (int edgeIdx : localEdges) {
         const Edge& edge = edges[static_cast<std::size_t>(edgeIdx)];
-        set->cyclic_.push_back(
-            CyclicSegment{edge.a, edge.b, edge.conductance});
+        cyclic.push_back(Segment{edge.a, edge.b, edge.conductance});
         digest = fnv1aMix64(
             digest, static_cast<std::uint64_t>(edge.u) * 0x9e3779b9u +
                         static_cast<std::uint64_t>(edge.v));
@@ -213,6 +211,8 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
     // one component (ids already assigned stay put).
   }
 
+  set->branchCount_ = static_cast<int>(set->segments_.size());
+  set->segments_.insert(set->segments_.end(), cyclic.begin(), cyclic.end());
   VIADUCT_COUNTER_ADD("em.steady_trees",
                       static_cast<std::uint64_t>(set->treeCount()));
   set->digest_ = digest;
@@ -221,36 +221,50 @@ std::shared_ptr<const WireTreeSet> WireTreeSet::build(
 
 WireTreeSet::Scratch WireTreeSet::makeScratch() const {
   Scratch scratch;
-  scratch.branchCurrentDensity.resize(
-      static_cast<std::size_t>(branchCount()));
+  scratch.currentDensity.resize(segments_.size());
   scratch.nodeStress.resize(maxTreeNodes_);
   return scratch;
 }
 
+WireTreeSet::Terminals WireTreeSet::resolve(
+    const PowerGridModel& model) const {
+  Terminals terminals;
+  terminals.unknownCount = model.unknownCount();
+  terminals.segments.reserve(segments_.size());
+  for (const Segment& segment : segments_)
+    terminals.segments.push_back(
+        {model.resolveNode(segment.a), model.resolveNode(segment.b)});
+  return terminals;
+}
+
 WireTreeSet::Audit WireTreeSet::audit(
-    const PowerGridModel& model, const PowerGridModel::DcSolution& solution,
+    const Terminals& terminals, const PowerGridModel::DcSolution& solution,
     SignoffMode mode, double stressMarginPa, const EmParameters& params,
     Scratch& scratch) const {
   VIADUCT_SPAN("em.steady_pass");
   VIADUCT_REQUIRE_MSG(stressMarginPa > 0.0, "stress margin must be positive");
-  VIADUCT_REQUIRE(scratch.branchCurrentDensity.size() ==
-                  static_cast<std::size_t>(branchCount()));
+  VIADUCT_REQUIRE_MSG(solution.solverOk,
+                      "wire audit on a failed solution (check solverOk)");
+  VIADUCT_REQUIRE(terminals.segments.size() == segments_.size() &&
+                  solution.voltages.size() ==
+                      static_cast<std::size_t>(terminals.unknownCount));
+  VIADUCT_REQUIRE(scratch.currentDensity.size() == segments_.size());
   VIADUCT_REQUIRE(scratch.nodeStress.size() >= maxTreeNodes_);
 
-  // Signed current densities along each branch's a→b orientation at this
-  // operating point — the only per-configuration input the solvers need.
+  // Signed current densities along each segment's a→b orientation at this
+  // operating point — the only per-configuration input the verdicts need.
+  const std::span<const double> v = solution.voltages;
   const double invArea = 1.0 / geometry_.crossSectionArea;
-  for (std::size_t i = 0; i < scratch.branchCurrentDensity.size(); ++i) {
-    const double va = model.nodeVoltage(branchNodeA_[i], solution);
-    const double vb = model.nodeVoltage(branchNodeB_[i], solution);
-    scratch.branchCurrentDensity[i] =
-        (va - vb) * branchConductance_[i] * invArea;
+  for (std::size_t k = 0; k < segments_.size(); ++k) {
+    const auto& [a, b] = terminals.segments[k];
+    scratch.currentDensity[k] =
+        (a.voltage(v) - b.voltage(v)) * segments_[k].conductance * invArea;
   }
 
   Audit result;
   for (const Tree& tree : trees_) {
     const std::span<const double> branchJ(
-        scratch.branchCurrentDensity.data() +
+        scratch.currentDensity.data() +
             static_cast<std::size_t>(tree.branchOffset),
         static_cast<std::size_t>(tree.solver.branchCount()));
     const std::span<double> nodeStress(
@@ -279,12 +293,11 @@ WireTreeSet::Audit WireTreeSet::audit(
   }
 
   // Cyclic components: per-segment Blech verdicts (legacy criterion).
-  if (!cyclic_.empty()) {
+  if (cyclicSegments() > 0) {
     const double productLimit = blechProductLimit(stressMarginPa, params);
-    for (const CyclicSegment& segment : cyclic_) {
-      const double va = model.nodeVoltage(segment.a, solution);
-      const double vb = model.nodeVoltage(segment.b, solution);
-      const double j = std::abs(va - vb) * segment.conductance * invArea;
+    for (std::size_t k = static_cast<std::size_t>(branchCount_);
+         k < segments_.size(); ++k) {
+      const double j = std::abs(scratch.currentDensity[k]);
       if (j * geometry_.segmentLength >= productLimit)
         ++result.mortalCyclicSegments;
     }
@@ -295,6 +308,14 @@ WireTreeSet::Audit WireTreeSet::audit(
   VIADUCT_COUNTER_ADD("em.transient_fallbacks",
                       static_cast<std::uint64_t>(result.transientFallbacks));
   return result;
+}
+
+WireTreeSet::Audit WireTreeSet::audit(
+    const PowerGridModel& model, const PowerGridModel::DcSolution& solution,
+    SignoffMode mode, double stressMarginPa, const EmParameters& params,
+    Scratch& scratch) const {
+  return audit(resolve(model), solution, mode, stressMarginPa, params,
+               scratch);
 }
 
 WireEmCensus classifyWiresEm(const Netlist& netlist,

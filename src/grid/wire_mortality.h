@@ -15,6 +15,7 @@
 // directions along a path cancel their stress contributions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,19 +91,44 @@ class WireTreeSet {
                                                   const WireGeometry& geometry);
 
   int treeCount() const { return static_cast<int>(trees_.size()); }
-  int branchCount() const { return static_cast<int>(branchNodeA_.size()); }
+  int branchCount() const { return branchCount_; }
   int cyclicComponents() const { return cyclicComponents_; }
-  int cyclicSegments() const { return static_cast<int>(cyclic_.size()); }
+  int cyclicSegments() const {
+    return static_cast<int>(segments_.size()) - branchCount_;
+  }
   const WireGeometry& geometry() const { return geometry_; }
   /// Stable digest over topology + geometry (checkpoint-key material).
   std::uint64_t digest() const { return digest_; }
 
+  /// One wire resistor: its netlist terminals and conductance.
+  struct Segment {
+    Index a = kGroundNode;
+    Index b = kGroundNode;
+    double conductance = 0.0;
+  };
+  /// Every wire segment in audit order: the tree branches tree by tree
+  /// (branchCount() of them), then the cyclic components' segments.
+  const std::vector<Segment>& segments() const { return segments_; }
+
   /// Reusable per-thread buffers for audit(); sized at build.
   struct Scratch {
-    std::vector<double> branchCurrentDensity;
+    /// Signed a→b current density per segment [A/m²], in segments() order.
+    std::vector<double> currentDensity;
     std::vector<double> nodeStress;
   };
   Scratch makeScratch() const;
+
+  /// The segments' terminals resolved against one model's reduced system
+  /// (PowerGridModel::resolveNode), so an audit reads
+  /// DcSolution::voltages by index instead of making two checked
+  /// nodeVoltage() calls per segment. Immutable: resolve once per Monte
+  /// Carlo run and share it across trials and threads.
+  struct Terminals {
+    Index unknownCount = 0;
+    /// {a, b} per segment, in segments() order.
+    std::vector<std::array<PowerGridModel::NodeTerminal, 2>> segments;
+  };
+  Terminals resolve(const PowerGridModel& model) const;
 
   struct Audit {
     int mortalTrees = 0;
@@ -121,9 +147,15 @@ class WireTreeSet {
     }
   };
 
-  /// Audits one DC operating point: wire currents from `solution`,
-  /// verdicts per `mode` against `stressMarginPa` = σ_C − σ_T − σ_pkg.
-  /// Thread-safe: all mutable state lives in `scratch`.
+  /// Audits one DC operating point: wire currents from `solution` (read
+  /// through `terminals`, resolved on the solution's model), verdicts per
+  /// `mode` against `stressMarginPa` = σ_C − σ_T − σ_pkg. Thread-safe:
+  /// all mutable state lives in `scratch`.
+  Audit audit(const Terminals& terminals,
+              const PowerGridModel::DcSolution& solution, SignoffMode mode,
+              double stressMarginPa, const EmParameters& params,
+              Scratch& scratch) const;
+  /// One-off audit: audit(resolve(model), …).
   Audit audit(const PowerGridModel& model,
               const PowerGridModel::DcSolution& solution, SignoffMode mode,
               double stressMarginPa, const EmParameters& params,
@@ -132,26 +164,18 @@ class WireTreeSet {
  private:
   struct Tree {
     SteadyStateTreeSolver solver;
-    int branchOffset = 0;  // into the shared branch arrays
+    int branchOffset = 0;  // into segments_
   };
 
   WireGeometry geometry_;
   std::vector<Tree> trees_;
+  int branchCount_ = 0;
   int cyclicComponents_ = 0;
   std::uint64_t digest_ = 0;
   std::size_t maxTreeNodes_ = 0;
-  // Branch -> netlist terminals/conductance, concatenated tree-by-tree so
-  // per-tree spans are contiguous.
-  std::vector<Index> branchNodeA_;
-  std::vector<Index> branchNodeB_;
-  std::vector<double> branchConductance_;
-  // Cyclic-component segments judged by the Blech product instead.
-  struct CyclicSegment {
-    Index a = 0;
-    Index b = 0;
-    double conductance = 0.0;
-  };
-  std::vector<CyclicSegment> cyclic_;
+  // Tree branches concatenated tree-by-tree (so per-tree spans are
+  // contiguous), then the cyclic segments judged by the Blech product.
+  std::vector<Segment> segments_;
 };
 
 /// Tree-level wire census at the healthy DC operating point — the

@@ -6,6 +6,14 @@
 
 namespace viaduct {
 
+std::vector<double> SpdFactor::solveIncidence(Index i, Index j) const {
+  VIADUCT_REQUIRE(i != j && i >= -1 && j >= -1 && i < size() && j < size());
+  std::vector<double> a(static_cast<std::size_t>(size()), 0.0);
+  if (i >= 0) a[static_cast<std::size_t>(i)] = 1.0;
+  if (j >= 0) a[static_cast<std::size_t>(j)] = -1.0;
+  return solve(a);
+}
+
 std::unique_ptr<SpdFactor> buildSpdFactor(const CsrMatrix& a,
                                           SpdSolverKind kind,
                                           OrderingChoice ordering,

@@ -41,6 +41,12 @@ class SpdFactor {
     return x;
   }
 
+  /// The incidence column G⁻¹·(e_i − e_j) of branch (i, j): node −1 is
+  /// ground (its term is dropped). Requires i != j, each in [−1, size()).
+  /// The default solves the dense incidence vector; a factor may seed the
+  /// two non-zeros directly instead, but must return the same bits.
+  virtual std::vector<double> solveIncidence(Index i, Index j) const;
+
   /// Numeric re-factorization with new values on the SAME sparsity
   /// structure, returned as a fresh factor that shares this factor's
   /// symbolic analysis (ordering, elimination tree, supernode partition).

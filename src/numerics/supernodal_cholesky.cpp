@@ -475,29 +475,24 @@ void SupernodalCholesky::factorSupernode(Index s, const CsrMatrix& pm) {
   }
 }
 
-void SupernodalCholesky::solve(std::span<const double> b,
-                               std::span<double> x) const {
-  VIADUCT_COUNTER_ADD("cholesky.triangular_solves", 1);
-  VIADUCT_REQUIRE(b.size() == static_cast<std::size_t>(n_) &&
-                  x.size() == b.size());
+void SupernodalCholesky::forwardSupernode(Index s, std::span<double> y) const {
   const Symbolic& sy = *sym_;
-  std::vector<double> y = permuteVector(b, sy.ordering);
-  // Forward: L y' = y, supernode by supernode.
-  for (Index s = 0; s < sy.snodes; ++s) {
-    const Index f = sy.first[s];
-    const Index w = sy.first[s + 1] - f;
-    const std::size_t ro = sy.rowsOffset[s];
-    const Index h = static_cast<Index>(sy.rowsOffset[s + 1] - ro);
-    const Index* rows = sy.rows.data() + ro;
-    const double* panel = panels_.data() + sy.panelOffset[s];
-    for (Index c = 0; c < w; ++c) {
-      const double* col = panel + static_cast<std::size_t>(c) * h;
-      const double yc = y[f + c] / col[c];
-      y[f + c] = yc;
-      for (Index r = c + 1; r < h; ++r) y[rows[r]] -= col[r] * yc;
-    }
+  const Index f = sy.first[s];
+  const Index w = sy.first[s + 1] - f;
+  const std::size_t ro = sy.rowsOffset[s];
+  const Index h = static_cast<Index>(sy.rowsOffset[s + 1] - ro);
+  const Index* rows = sy.rows.data() + ro;
+  const double* panel = panels_.data() + sy.panelOffset[s];
+  for (Index c = 0; c < w; ++c) {
+    const double* col = panel + static_cast<std::size_t>(c) * h;
+    const double yc = y[f + c] / col[c];
+    y[f + c] = yc;
+    for (Index r = c + 1; r < h; ++r) y[rows[r]] -= col[r] * yc;
   }
-  // Backward: Lᵀ z = y'.
+}
+
+void SupernodalCholesky::backwardSweep(std::span<double> y) const {
+  const Symbolic& sy = *sym_;
   for (Index s = sy.snodes; s-- > 0;) {
     const Index f = sy.first[s];
     const Index w = sy.first[s + 1] - f;
@@ -512,77 +507,68 @@ void SupernodalCholesky::solve(std::span<const double> b,
       y[f + c] = acc / col[c];
     }
   }
-  const std::vector<double> out = unpermuteVector(y, sy.ordering);
-  std::copy(out.begin(), out.end(), x.begin());
 }
 
-void SupernodalCholesky::solve(std::span<const double> b, std::span<double> x,
-                               ThreadPool* pool) const {
-  if (pool == nullptr || pool->threadCount() <= 1) {
-    solve(b, x);
-    return;
+template <typename Visit>
+void SupernodalCholesky::forEachReachSupernode(Index i, Index j,
+                                               Visit&& visit) const {
+  const Symbolic& sy = *sym_;
+  auto seed = [&](Index node) {
+    return node < 0 ? -1 : sy.snodeOfCol[sy.ordering.inverse[node]];
+  };
+  auto parent = [&](Index s) {
+    const Index p = sy.parent[sy.first[s + 1] - 1];
+    return p < 0 ? -1 : sy.snodeOfCol[p];
+  };
+  // Supernode ids ascend along every path to the root (postorder), so the
+  // reach is the ascending merge of the two paths; a shared tail is
+  // visited once.
+  Index si = seed(i);
+  Index sj = seed(j);
+  while (si >= 0 || sj >= 0) {
+    const Index s = sj < 0 || (si >= 0 && si < sj) ? si : sj;
+    visit(s);
+    if (si == s) si = parent(si);
+    if (sj == s) sj = parent(sj);
   }
+}
+
+double SupernodalCholesky::forwardReachFraction(Index i, Index j) const {
+  VIADUCT_REQUIRE(i >= -1 && j >= -1 && i < n_ && j < n_);
+  const Symbolic& sy = *sym_;
+  std::size_t entries = 0;
+  forEachReachSupernode(i, j, [&](Index s) {
+    entries += sy.panelOffset[s + 1] - sy.panelOffset[s];
+  });
+  const std::size_t total = sy.panelOffset[static_cast<std::size_t>(sy.snodes)];
+  return total == 0 ? 0.0
+                    : static_cast<double>(entries) / static_cast<double>(total);
+}
+
+void SupernodalCholesky::solve(std::span<const double> b,
+                               std::span<double> x) const {
   VIADUCT_COUNTER_ADD("cholesky.triangular_solves", 1);
   VIADUCT_REQUIRE(b.size() == static_cast<std::size_t>(n_) &&
                   x.size() == b.size());
   const Symbolic& sy = *sym_;
   std::vector<double> y = permuteVector(b, sy.ordering);
-  std::vector<double> contrib(sy.rows.size(), 0.0);
-
-  // Forward, level by level: phase A solves each supernode's diagonal block
-  // and stages its tail contributions (disjoint writes); phase B scatters
-  // them serially in ascending supernode order, so the result depends only
-  // on the level schedule, never on the pool size.
-  for (const auto& level : sy.levels) {
-    const auto count = static_cast<std::int64_t>(level.size());
-    pool->parallelFor(0, count, kSupernodeGrain, [&](std::int64_t i) {
-      const Index s = level[static_cast<std::size_t>(i)];
-      const Index f = sy.first[s];
-      const Index w = sy.first[s + 1] - f;
-      const std::size_t ro = sy.rowsOffset[s];
-      const Index h = static_cast<Index>(sy.rowsOffset[s + 1] - ro);
-      const double* panel = panels_.data() + sy.panelOffset[s];
-      for (Index c = 0; c < w; ++c) {
-        const double* col = panel + static_cast<std::size_t>(c) * h;
-        const double yc = y[f + c] / col[c];
-        y[f + c] = yc;
-        for (Index r = c + 1; r < w; ++r) y[f + r] -= col[r] * yc;
-        for (Index r = w; r < h; ++r) contrib[ro + r] += col[r] * yc;
-      }
-    });
-    for (const Index s : level) {
-      const Index f = sy.first[s];
-      const Index w = sy.first[s + 1] - f;
-      const std::size_t ro = sy.rowsOffset[s];
-      const Index h = static_cast<Index>(sy.rowsOffset[s + 1] - ro);
-      const Index* rows = sy.rows.data() + ro;
-      for (Index r = w; r < h; ++r) y[rows[r]] -= contrib[ro + r];
-    }
-  }
-
-  // Backward, levels descending: every read outside the supernode's own
-  // range targets an ancestor (strictly later level, already final), so the
-  // whole level runs in parallel without staging.
-  for (auto level = sy.levels.rbegin(); level != sy.levels.rend(); ++level) {
-    const auto count = static_cast<std::int64_t>(level->size());
-    pool->parallelFor(0, count, kSupernodeGrain, [&](std::int64_t i) {
-      const Index s = (*level)[static_cast<std::size_t>(i)];
-      const Index f = sy.first[s];
-      const Index w = sy.first[s + 1] - f;
-      const std::size_t ro = sy.rowsOffset[s];
-      const Index h = static_cast<Index>(sy.rowsOffset[s + 1] - ro);
-      const Index* rows = sy.rows.data() + ro;
-      const double* panel = panels_.data() + sy.panelOffset[s];
-      for (Index c = w; c-- > 0;) {
-        const double* col = panel + static_cast<std::size_t>(c) * h;
-        double acc = y[f + c];
-        for (Index r = c + 1; r < h; ++r) acc -= col[r] * y[rows[r]];
-        y[f + c] = acc / col[c];
-      }
-    });
-  }
+  for (Index s = 0; s < sy.snodes; ++s) forwardSupernode(s, y);
+  backwardSweep(y);
   const std::vector<double> out = unpermuteVector(y, sy.ordering);
   std::copy(out.begin(), out.end(), x.begin());
+}
+
+std::vector<double> SupernodalCholesky::solveIncidence(Index i,
+                                                       Index j) const {
+  VIADUCT_COUNTER_ADD("cholesky.triangular_solves", 1);
+  VIADUCT_REQUIRE(i != j && i >= -1 && j >= -1 && i < n_ && j < n_);
+  const Symbolic& sy = *sym_;
+  std::vector<double> y(static_cast<std::size_t>(n_), 0.0);
+  if (i >= 0) y[sy.ordering.inverse[i]] = 1.0;
+  if (j >= 0) y[sy.ordering.inverse[j]] = -1.0;
+  forEachReachSupernode(i, j, [&](Index s) { forwardSupernode(s, y); });
+  backwardSweep(y);
+  return unpermuteVector(y, sy.ordering);
 }
 
 }  // namespace viaduct

@@ -48,12 +48,12 @@ class SupernodalCholesky final : public SpdFactor {
   /// Serial triangular solves (thread-safe: allocates locally).
   void solve(std::span<const double> b, std::span<double> x) const override;
 
-  /// Level-scheduled parallel triangular solves. Bit-identical for every
-  /// pool size (contributions are scattered in a fixed serial order per
-  /// level) but may differ from the serial solve() in the last ulps, whose
-  /// scatter order interleaves levels differently.
-  void solve(std::span<const double> b, std::span<double> x,
-             ThreadPool* pool) const;
+  /// Seeds the two non-zeros of e_i − e_j directly and runs the forward
+  /// sweep only over the supernodes on their elimination-tree paths to the
+  /// root (the Gilbert–Peierls reach); the backward sweep stays dense.
+  /// Every skipped forward term subtracts col·(+0.0) from an entry that is
+  /// never −0.0, so the column is bitwise equal to solve(e_i − e_j).
+  std::vector<double> solveIncidence(Index i, Index j) const override;
 
   /// Copy-on-write numeric re-factorization on the same structure; shares
   /// the symbolic analysis (ordering, etree, supernode partition, update
@@ -64,6 +64,9 @@ class SupernodalCholesky final : public SpdFactor {
   // Introspection for tests and the scaling bench.
   Index supernodeCount() const;
   Index levelCount() const;
+  /// Share of the factor's panel entries the forward sweep of
+  /// solveIncidence(i, j) reads.
+  double forwardReachFraction(Index i, Index j) const;
 
  private:
   struct Symbolic;
@@ -76,6 +79,16 @@ class SupernodalCholesky final : public SpdFactor {
   CsrMatrix permuted(const CsrMatrix& a) const;
   void numericFactor(const CsrMatrix& permuted, ThreadPool* pool);
   void factorSupernode(Index s, const CsrMatrix& permuted);
+  /// The triangular-solve kernels shared by solve() and solveIncidence(),
+  /// on a vector `y` in the factor's ordering: L_s's forward substitution
+  /// and tail scatter for supernode s, and the full backward sweep Lᵀ.
+  void forwardSupernode(Index s, std::span<double> y) const;
+  void backwardSweep(std::span<double> y) const;
+  /// Calls visit(s) for each supernode on the elimination-tree paths from
+  /// nodes i and j (original numbering, −1 for none) to the root, once
+  /// each, in ascending order.
+  template <typename Visit>
+  void forEachReachSupernode(Index i, Index j, Visit&& visit) const;
 
   Index n_ = 0;
   std::shared_ptr<const Symbolic> sym_;

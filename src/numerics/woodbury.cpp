@@ -139,11 +139,8 @@ IncidenceColumnCache::Column WoodburySolver::incidenceColumn(Index i,
     }
     VIADUCT_COUNTER_ADD("woodbury.column_cache_misses", 1);
   }
-  std::vector<double> a(static_cast<std::size_t>(base_->rows()), 0.0);
-  if (i >= 0) a[i] = 1.0;
-  if (j >= 0) a[j] = -1.0;
   auto column = std::make_shared<const std::vector<double>>(
-      activeFactor().solve(a));
+      activeFactor().solveIncidence(i, j));
   if (cached) columnCache_->insert(i, j, column);
   return column;
 }

@@ -32,7 +32,10 @@
 // base, a new branch first asks the shared IncidenceColumnCache: a hit costs
 // no factored solve and copies nothing, so a branch that any trial already
 // solved on this base is never solved again. After a rebase the solver's
-// columns come from its private factor and are always solved.
+// columns come from its private factor and are always solved. Either way a
+// column is SpdFactor::solveIncidence(i, j): the supernodal factor seeds
+// e_i − e_j's two non-zeros and runs the forward sweep only over their
+// elimination-tree paths, bit-identical to a dense solve.
 #pragma once
 
 #include <cstddef>

@@ -5,13 +5,16 @@
 // the cached base solution behind Session::solve() (bit-identity with the
 // general solve path, at most one factored solve per array failure), and
 // the model's shared cache of incidence columns (hits equal fresh solves,
-// a full cache changes no sample, concurrent sessions, the storage bound).
+// every stored seeded column equals a dense base solve bit for bit, a full
+// cache changes no sample, concurrent sessions, the storage bound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -301,6 +304,48 @@ TEST_F(GridSharedBaseTest, ColumnCacheHitEqualsABaseFactorSolve) {
   PowerGridConfig off = supernodalConfig();
   off.sharedBaseFactor = false;
   EXPECT_EQ(PowerGridModel(net, off).columnCache(), nullptr);
+}
+
+TEST_F(GridSharedBaseTest, EveryCachedColumnIsBitIdenticalToADenseBaseSolve) {
+  // Sessions fill the cache through SpdFactor::solveIncidence (on the
+  // supernodal backend a seeded, reach-limited forward sweep). Every
+  // column stored after a multi-threaded Monte Carlo must equal the base
+  // factor's solve of the dense e_i − e_j bit for bit, signed zeros
+  // included.
+  const Netlist net = tunedMesh(smallSpec());
+  GridMcOptions opts;
+  opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
+  opts.referenceCurrentAmps = 0.01;
+  opts.trials = 4;
+  opts.seed = 23;
+  opts.maxFailuresPerTrial = 4;
+  opts.parallelism.threads = 2;
+  for (const PowerGridConfig& config :
+       {supernodalConfig(), PowerGridConfig{}}) {
+    const PowerGridModel model(net, config);
+    (void)runGridMonteCarlo(model, opts);
+    const IncidenceColumnCache& cache = *model.columnCache();
+    std::set<std::pair<Index, Index>> checked;
+    for (const ViaArraySite& site : model.viaArrays()) {
+      const Index i = std::min(site.a, site.b);
+      const Index j = std::max(site.a, site.b);
+      const auto column = cache.find(i, j);
+      if (column == nullptr || !checked.insert({i, j}).second) continue;
+      std::vector<double> a(static_cast<std::size_t>(model.unknownCount()),
+                            0.0);
+      a[static_cast<std::size_t>(i)] = 1.0;
+      a[static_cast<std::size_t>(j)] = -1.0;
+      const std::vector<double> dense = model.baseFactor()->solve(a);
+      ASSERT_EQ(column->size(), dense.size());
+      EXPECT_EQ(std::memcmp(column->data(), dense.data(),
+                            dense.size() * sizeof(double)),
+                0)
+          << spdSolverKindName(config.gridSolver) << " branch (" << i << ", "
+          << j << ")";
+    }
+    EXPECT_GT(checked.size(), 0u);
+    EXPECT_EQ(checked.size(), cache.size());
+  }
 }
 
 TEST_F(GridSharedBaseTest, FullColumnCacheKeepsSamplesAndItsBound) {

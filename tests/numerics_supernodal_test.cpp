@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -11,6 +13,7 @@
 #include "numerics/dense.h"
 #include "numerics/ordering.h"
 #include "numerics/spd_factor.h"
+#include "obs/obs.h"
 
 namespace viaduct {
 namespace {
@@ -169,28 +172,6 @@ TEST(SupernodalCholesky, PooledFactorIsBitIdenticalToSerial) {
   }
 }
 
-TEST(SupernodalCholesky, PooledSolveIsPoolSizeInvariant) {
-  const CsrMatrix a = laplacian2d(18, 18, 0.04);
-  const auto b = randomVector(static_cast<std::size_t>(a.rows()), 37);
-  const SupernodalCholesky chol(a);
-  // ThreadPool(1) falls back to the serial solve, which may differ in the
-  // last ulps; the invariance guarantee is across actual pool sizes.
-  std::vector<double> xRef(b.size());
-  {
-    ThreadPool pool(2);
-    chol.solve(b, xRef, &pool);
-  }
-  for (int threads : {3, 4, 8}) {
-    ThreadPool pool(threads);
-    std::vector<double> x(b.size());
-    chol.solve(b, x, &pool);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      EXPECT_EQ(x[i], xRef[i]) << "threads=" << threads << " i=" << i;
-  }
-  // And the parallel path is still a correct solve.
-  EXPECT_LE(a.residualNorm(xRef, b), 1e-10 * norm2(b));
-}
-
 TEST(SupernodalCholesky, RefactoredSharesSymbolicAndMatchesFresh) {
   CsrMatrix a = laplacian2d(10, 10, 0.02);
   const auto b = randomVector(static_cast<std::size_t>(a.rows()), 41);
@@ -254,6 +235,68 @@ TEST(SupernodalCholesky, SupernodesActuallyMerge) {
   const CsrMatrix dense = randomSpd(120, 0.5, 9);
   const SupernodalCholesky denseChol(dense, OrderingChoice::kNatural);
   EXPECT_LE(denseChol.supernodeCount(), dense.rows() / 4);
+}
+
+bool bitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// solveIncidence(i, j) against solve(e_i − e_j), bit for bit (signed
+/// zeros included), for every ordered pair of nodes and every node against
+/// ground on either side. Exhaustive pairs cover both endpoints in one
+/// supernode and endpoints in the root supernode for any partition.
+void expectIncidenceColumnsMatchDenseSolves(const SpdFactor& factor,
+                                            const std::string& label) {
+  const Index n = factor.size();
+  for (Index i = -1; i < n; ++i) {
+    for (Index j = -1; j < n; ++j) {
+      if (i == j) continue;
+      std::vector<double> a(static_cast<std::size_t>(n), 0.0);
+      if (i >= 0) a[static_cast<std::size_t>(i)] = 1.0;
+      if (j >= 0) a[static_cast<std::size_t>(j)] = -1.0;
+      ASSERT_TRUE(bitwiseEqual(factor.solveIncidence(i, j), factor.solve(a)))
+          << label << " branch (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(SupernodalCholesky, IncidenceSolveIsBitIdenticalToDenseSolve) {
+  const CsrMatrix grid = laplacian2d(9, 7, 0.02);
+  const CsrMatrix random = randomSpd(40, 0.08, 13);
+  for (OrderingChoice ord :
+       {OrderingChoice::kNatural, OrderingChoice::kRcm,
+        OrderingChoice::kMinimumDegree, OrderingChoice::kAmd}) {
+    for (const SpdSolverKind kind :
+         {SpdSolverKind::kSupernodal, SpdSolverKind::kUplooking}) {
+      const std::string label = std::string(spdSolverKindName(kind)) + "+" +
+                                std::string(orderingChoiceName(ord));
+      expectIncidenceColumnsMatchDenseSolves(*buildSpdFactor(grid, kind, ord),
+                                             "grid " + label);
+      expectIncidenceColumnsMatchDenseSolves(
+          *buildSpdFactor(random, kind, ord), "random " + label);
+    }
+  }
+
+  TripletMatrix t1(1, 1);
+  t1.add(0, 0, 4.0);
+  const SupernodalCholesky one(CsrMatrix::fromTriplets(t1));
+  expectIncidenceColumnsMatchDenseSolves(one, "n=1");
+  EXPECT_EQ(one.solveIncidence(0, -1), std::vector<double>{0.25});
+
+  EXPECT_THROW(one.solveIncidence(0, 0), PreconditionError);
+  EXPECT_THROW(one.solveIncidence(-1, -1), PreconditionError);
+  EXPECT_THROW(one.solveIncidence(1, -1), PreconditionError);
+}
+
+TEST(SupernodalCholesky, IncidenceSolveCountsOneTriangularSolve) {
+  obs::setEnabled(true);
+  auto& solves = obs::Registry::instance().counter("cholesky.triangular_solves");
+  const SupernodalCholesky chol(laplacian2d(6, 6));
+  const std::uint64_t before = solves.value();
+  (void)chol.solveIncidence(3, 17);
+  (void)chol.solveIncidence(5, -1);
+  EXPECT_EQ(solves.value() - before, 2u);
 }
 
 TEST(SpdFactorFactory, BuildsBothKindsAndParsesNames) {

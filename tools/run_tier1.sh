@@ -19,8 +19,11 @@
 #      speedup over factorization-per-trial, and at most one factored solve
 #      per array failure plus one per rebase (`solves_per_failure` in
 #      BENCH_grid_scale.json, fewer when the model's incidence-column cache
-#      serves a repeat; `column_hit_ratio` reports its share; exit is
-#      nonzero on any miss);
+#      serves a repeat; `column_hit_ratio` reports its share), and that
+#      every seeded, reach-limited incidence column (`solveIncidence`) is
+#      bit-identical to the dense solve of e_i − e_j (`incidence_solve_ms`
+#      and `forward_reach_fraction` report its cost); exit is nonzero on
+#      any miss;
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + the --obs-listen telemetry listener from
 #      serve/protocol + a scraper thread) must
@@ -116,10 +119,12 @@ echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
 echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
-# Parity, determinism, speedup and solves-per-failure gates on the smallest
-# mesh (a failure costs at most one factored solve, none when the column
-# cache holds its array; column_hit_ratio is reported, not gated); the full
-# 1e4 -> 1e6 sweep is the same binary without --smoke.
+# Parity, determinism, speedup, solves-per-failure and seeded-column
+# bit-identity gates on the smallest mesh (a failure costs at most one
+# factored solve, none when the column cache holds its array;
+# column_hit_ratio, incidence_solve_ms and forward_reach_fraction are
+# reported, not gated); the full 1e4 -> 2e6 sweep is the same binary
+# without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
 echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
