@@ -1,15 +1,16 @@
 // Level-1 network-solver bench: the incremental shared-base + rank-1
-// downdate path (DESIGN.md §5.9) against the legacy from-scratch LU
-// resolve. Two measurements:
+// downdate solver (DESIGN.md §5.9) against a from-scratch dense LU solve
+// of the same stamped system (bench/network_lu_oracle.h). Two
+// measurements:
 //
 //   1. google-benchmark microbenchmarks of the per-failure-step cost
-//      (failVia + effectiveResistance) for both paths across array sizes —
-//      the O(N²) vs O(N³) gap, N = 2n²+1;
-//   2. a manual end-to-end A/B: full failure sweeps and a complete level-1
-//      characterization Monte Carlo per path, cross-checked step by step.
+//      (failVia + one solve) for both across array sizes — the O(N²) vs
+//      O(N³) gap, N = 2n²+1;
+//   2. full failure sweeps per array size, timed for both and cross-checked
+//      step by step against the oracle.
 //
-// Emits BENCH_viaarray.json. Exit is nonzero only when the two paths
-// disagree (correctness); timing never fails CI by itself.
+// Emits BENCH_viaarray.json. Exit is nonzero only when the solver and the
+// oracle disagree (correctness); timing never fails CI by itself.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,18 +24,17 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "network_lu_oracle.h"
 #include "obs/obs.h"
-#include "viaarray/characterize.h"
 #include "viaarray/network.h"
 
 using namespace viaduct;
 
 namespace {
 
-ViaArrayNetworkConfig netConfig(int n, bool exact) {
+ViaArrayNetworkConfig netConfig(int n) {
   ViaArrayNetworkConfig cfg;
   cfg.n = n;
-  cfg.exactResolve = exact;
   return cfg;
 }
 
@@ -54,13 +54,18 @@ std::vector<int> failureOrder(int count, std::uint64_t seed) {
 }
 
 /// One full failure sweep (all but one via, resistance queried per step).
-double sweep(ViaArrayNetwork& net, const std::vector<int>& order,
+/// `exact` answers each step with the LU oracle instead of the network's
+/// own incremental solve (failVia's O(N²) downdate still runs, a small
+/// share next to the O(N³) LU).
+double sweep(ViaArrayNetwork& net, const ViaArrayNetworkConfig& cfg,
+             const std::vector<int>& order, bool exact,
              std::vector<double>* resistances = nullptr) {
   net.reset();
   double last = 0.0;
   for (std::size_t step = 0; step + 1 < order.size(); ++step) {
     net.failVia(order[step]);
-    last = net.effectiveResistance();
+    last = exact ? luOracleSolve(net, cfg).effectiveResistance
+                 : net.effectiveResistance();
     if (resistances) resistances->push_back(last);
   }
   return last;
@@ -68,7 +73,8 @@ double sweep(ViaArrayNetwork& net, const std::vector<int>& order,
 
 void stepBench(benchmark::State& state, bool exact) {
   const int n = static_cast<int>(state.range(0));
-  ViaArrayNetwork net(netConfig(n, exact));
+  const ViaArrayNetworkConfig cfg = netConfig(n);
+  ViaArrayNetwork net(cfg);
   const auto order = failureOrder(net.viaCount(), 7);
   const std::size_t steps = order.size() - 1;
   std::size_t next = steps;  // force a reset on first iteration
@@ -80,7 +86,8 @@ void stepBench(benchmark::State& state, bool exact) {
       state.ResumeTiming();
     }
     net.failVia(order[next++]);
-    benchmark::DoNotOptimize(net.effectiveResistance());
+    benchmark::DoNotOptimize(exact ? luOracleSolve(net, cfg).effectiveResistance
+                                   : net.effectiveResistance());
   }
   state.SetLabel("N=" + std::to_string(2 * n * n + 1));
 }
@@ -132,16 +139,16 @@ struct SweepResult {
 SweepResult benchSweep(int n, int repeats) {
   SweepResult result;
   const auto order = failureOrder(n * n, 7);
-  ViaArrayNetwork incremental(netConfig(n, false));
-  ViaArrayNetwork exact(netConfig(n, true));
+  const ViaArrayNetworkConfig cfg = netConfig(n);
+  ViaArrayNetwork net(cfg);
 
   std::vector<double> rInc, rExact;
   const auto d0 = counterValue("viaarray.downdates");
   const auto f0 = counterValue("viaarray.refactors");
-  sweep(incremental, order, &rInc);
+  sweep(net, cfg, order, false, &rInc);
   result.downdates = counterValue("viaarray.downdates") - d0;
   result.refactors = counterValue("viaarray.refactors") - f0;
-  sweep(exact, order, &rExact);
+  sweep(net, cfg, order, true, &rExact);
   for (std::size_t i = 0; i < rInc.size(); ++i) {
     if (std::abs(rInc[i] - rExact[i]) >
         1e-9 * std::max(1.0, std::abs(rExact[i]))) {
@@ -151,57 +158,12 @@ SweepResult benchSweep(int n, int repeats) {
     }
   }
   result.secondsIncremental =
-      bestSeconds(repeats, [&] { sweep(incremental, order); });
-  result.secondsExact = bestSeconds(repeats, [&] { sweep(exact, order); });
+      bestSeconds(repeats, [&] { sweep(net, cfg, order, false); });
+  result.secondsExact =
+      bestSeconds(repeats, [&] { sweep(net, cfg, order, true); });
   result.speedup = result.secondsIncremental > 0.0
                        ? result.secondsExact / result.secondsIncremental
                        : 0.0;
-  return result;
-}
-
-struct EndToEnd {
-  double secondsIncremental = 0.0;
-  double secondsExact = 0.0;
-  double speedup = 0.0;
-  bool agree = true;
-};
-
-/// Full level-1 Monte Carlo (FEA construction excluded from timing) on a
-/// coarse-but-real spec, both paths, with a statistical cross-check.
-EndToEnd benchCharacterization(int n, int trials) {
-  EndToEnd result;
-  ViaArrayCharacterizationSpec spec;
-  spec.array.n = n;
-  spec.resolutionXy = 0.125e-6;  // fine enough for the n=5 via pitch
-  spec.margin = 1.0e-6;
-  spec.trials = trials;
-  spec.seed = 42;
-  spec.parallelism.threads = 1;  // measure the solver, not the pool
-
-  spec.network.exactResolve = false;
-  ViaArrayCharacterizer incremental(spec);
-  result.secondsIncremental = bestSeconds(1, [&] { incremental.traces(); });
-  spec.network.exactResolve = true;
-  ViaArrayCharacterizer exact(spec);
-  result.secondsExact = bestSeconds(1, [&] { exact.traces(); });
-  result.speedup = result.secondsIncremental > 0.0
-                       ? result.secondsExact / result.secondsIncremental
-                       : 0.0;
-
-  const auto crit = ViaArrayFailureCriterion::openCircuit();
-  const auto si = incremental.ttfSamples(crit);
-  const auto se = exact.ttfSamples(crit);
-  if (si.size() != se.size()) {
-    result.agree = false;
-  } else {
-    for (std::size_t i = 0; i < si.size(); ++i) {
-      if (std::abs(si[i] - se[i]) > 1e-6 * se[i]) {
-        result.agree = false;
-        std::cerr << "FAIL: characterization trial " << i
-                  << " TTF differs: " << si[i] << " vs " << se[i] << "\n";
-      }
-    }
-  }
   return result;
 }
 
@@ -214,7 +176,7 @@ int main(int argc, char** argv) {
 
   const std::vector<int> sizes = {3, 5, 7, 9};
   const int repeats = 3;
-  std::cout << "=== perf_viaarray: incremental vs exact resolve ===\n";
+  std::cout << "=== perf_viaarray: incremental solve vs LU oracle ===\n";
   std::vector<SweepResult> sweeps;
   bool allAgree = true;
   for (const int n : sizes) {
@@ -227,16 +189,6 @@ int main(int argc, char** argv) {
               << " downdates, " << r.refactors << " refactors) "
               << (r.agree ? "AGREE" : "DIFFER") << "\n";
   }
-
-  const int charN = 5;
-  const int charTrials = 40;
-  const EndToEnd e2e = benchCharacterization(charN, charTrials);
-  allAgree = allAgree && e2e.agree;
-  std::cout << "  level-1 characterization (n=" << charN << ", "
-            << charTrials << " trials): incremental " << e2e.secondsIncremental
-            << " s, exact " << e2e.secondsExact << " s, speedup "
-            << e2e.speedup << "x "
-            << (e2e.agree ? "AGREE" : "DIFFER") << "\n";
 
   std::ofstream os("BENCH_viaarray.json");
   if (!os) {
@@ -255,16 +207,11 @@ int main(int argc, char** argv) {
        << ", \"agree\": " << (r.agree ? "true" : "false") << "}"
        << (i + 1 < sweeps.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"characterization\": {\"n\": " << charN
-     << ", \"trials\": " << charTrials
-     << ", \"seconds_incremental\": " << e2e.secondsIncremental
-     << ", \"seconds_exact\": " << e2e.secondsExact
-     << ", \"speedup\": " << e2e.speedup
-     << ", \"agree\": " << (e2e.agree ? "true" : "false") << "}\n}\n";
+  os << "  ]\n}\n";
   std::cout << "wrote BENCH_viaarray.json\n";
 
   if (!allAgree) {
-    std::cerr << "FAIL: incremental and exact network solves disagree\n";
+    std::cerr << "FAIL: incremental network solve and LU oracle disagree\n";
     return 1;
   }
   return 0;

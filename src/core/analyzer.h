@@ -35,9 +35,7 @@ struct AnalyzerConfig {
   int viaArraySize = 4;
 
   /// Level-1 characterization template; `array.n` and `pattern` are set by
-  /// the analyzer per site. `characterization.network.exactResolve` flows
-  /// through here to select the legacy from-scratch network solver over
-  /// the incremental downdate path (DESIGN.md §5.9) for A/B runs.
+  /// the analyzer per site.
   ViaArrayCharacterizationSpec characterization;
 
   /// Electrical/netlist handling.

@@ -15,19 +15,16 @@ struct FailurePolicy {
   /// solver errors propagate and MC trials abort the run.
   bool enabled = true;
 
-  /// CG recovery ladder: up to this many retries, each with the relative
-  /// tolerance multiplied by `retryToleranceTighten` (< 1: the retry must
-  /// beat a *stricter* target, so an accepted retry is at least as
-  /// accurate as a clean first pass) and the iteration cap multiplied by
-  /// `retryIterationGrowth`. Retries warm-start from the best iterate when
-  /// one exists and restart from zero after a non-finite residual.
+  /// FEA CG recovery ladder (ThermoSolver::solve): up to this many
+  /// retries, each with the relative tolerance multiplied by
+  /// `retryToleranceTighten` (< 1: the retry must beat a *stricter*
+  /// target, so an accepted retry is at least as accurate as a clean first
+  /// pass) and the iteration cap multiplied by `retryIterationGrowth`.
+  /// Every retry restarts from a zero guess, so a stalled or NaN-poisoned
+  /// iterate never warm-starts it.
   int cgRetries = 1;
   double retryToleranceTighten = 0.1;
   double retryIterationGrowth = 2.0;
-
-  /// After the retries, solve the same SPD system directly with sparse
-  /// Cholesky (numerics/spd_solve.h) instead of failing.
-  bool fallbackCgToCholesky = true;
 
   /// When a Woodbury low-rank update or an incrementally-updated solve
   /// fails, fold the accumulated updates into the base matrix and

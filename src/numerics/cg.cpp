@@ -81,23 +81,9 @@ CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
     return stalled;
   }
 
-  // With a pool, every reduction goes through the fixed-chunk kernels so
-  // the iterate sequence is bit-identical for any pool size; without one,
-  // the legacy serial kernels are used unchanged.
+  // Every reduction sums in fixed kVectorOpGrain chunks, so the iterate
+  // sequence is bit-identical with no pool and for any pool size.
   ThreadPool* const pool = options.pool;
-  const auto vdot = [&](std::span<const double> u, std::span<const double> v) {
-    return pool ? dot(u, v, pool) : dot(u, v);
-  };
-  const auto vnorm = [&](std::span<const double> u) {
-    return pool ? norm2(u, pool) : norm2(u);
-  };
-  const auto vaxpy = [&](double alpha, std::span<const double> u,
-                         std::span<double> v) {
-    if (pool)
-      axpy(alpha, u, v, pool);
-    else
-      axpy(alpha, u, v);
-  };
 
   std::vector<double> r(n), z(n), p(n), ap(n);
 
@@ -110,12 +96,12 @@ CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
                     r[static_cast<std::size_t>(i)];
               });
 
-  const double bnorm = vnorm(b);
+  const double bnorm = norm2(b, pool);
   const double target =
       std::max(options.relativeTolerance * bnorm, options.absoluteTolerance);
 
   CgResult result;
-  double rnorm = vnorm(r);
+  double rnorm = norm2(r, pool);
   if (rnorm <= target) {
     result.converged = true;
     result.relativeResidual = bnorm > 0.0 ? rnorm / bnorm : 0.0;
@@ -126,7 +112,7 @@ CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
 
   m.apply(r, z);
   std::copy(z.begin(), z.end(), p.begin());
-  double rz = vdot(r, z);
+  double rz = dot(r, z, pool);
 
   // Health telemetry only observes values the solve already computes
   // (rnorm per iteration); it cannot perturb the iterate sequence, so
@@ -142,15 +128,15 @@ CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
 
   for (int it = 1; it <= options.maxIterations; ++it) {
     a.apply(p, ap);
-    const double pap = vdot(p, ap);
+    const double pap = dot(p, ap, pool);
     if (!(pap > 0.0)) {
       throw NumericalError(
           "CG: matrix is not positive definite (p'Ap <= 0 encountered)");
     }
     const double alpha = rz / pap;
-    vaxpy(alpha, p, x);
-    vaxpy(-alpha, ap, r);
-    rnorm = vnorm(r);
+    axpy(alpha, p, x, pool);
+    axpy(-alpha, ap, r, pool);
+    rnorm = norm2(r, pool);
     if (!std::isfinite(rnorm)) {
       throw NumericalError("CG residual is not finite at iteration " +
                            std::to_string(it));
@@ -171,7 +157,7 @@ CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
       break;
     }
     m.apply(r, z);
-    const double rzNew = vdot(r, z);
+    const double rzNew = dot(r, z, pool);
     const double beta = rzNew / rz;
     rz = rzNew;
     parallelFor(pool, 0, static_cast<std::int64_t>(n), kVectorOpGrain,

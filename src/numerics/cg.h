@@ -46,10 +46,10 @@ struct CgOptions {
   /// result reports converged = false and the best iterate is returned.
   bool throwOnStall = true;
   /// Optional pool for the axpy/dot/update kernels (the operator and the
-  /// preconditioner parallelize themselves). nullptr keeps the legacy
-  /// serial kernels bit-for-bit; a non-null pool switches to fixed-chunk
-  /// reductions whose results are bit-identical for EVERY pool size
-  /// (including 1), which is what makes threaded FEA deterministic.
+  /// preconditioner parallelize themselves). The reductions sum in fixed
+  /// chunks whatever the pool, so CG's iterates are bit-identical for
+  /// nullptr and for EVERY pool size, which is what makes threaded FEA
+  /// deterministic.
   ThreadPool* pool = nullptr;
 };
 

@@ -249,20 +249,6 @@ CsrMatrix csrFromTripletChunks(Index rows, Index cols,
   return CsrMatrix::fromTriplets(merged);
 }
 
-double dot(std::span<const double> a, std::span<const double> b) {
-  VIADUCT_REQUIRE(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  VIADUCT_REQUIRE(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 double dot(std::span<const double> a, std::span<const double> b,
            ThreadPool* pool) {
   VIADUCT_REQUIRE(a.size() == b.size());

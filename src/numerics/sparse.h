@@ -149,21 +149,15 @@ class CscLowerMatrix {
 CsrMatrix csrFromTripletChunks(Index rows, Index cols,
                                std::span<const TripletMatrix> chunks);
 
-// Basic vector kernels shared by the solvers.
-double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-void scale(double alpha, std::span<double> x);
-
-// Pooled variants. dot/norm2 always sum in fixed kVectorOpGrain chunks
-// (partials combined in chunk order), so their results are bit-identical
-// for every pool size including nullptr — but differ in the last ulps from
-// the plain serial dot above. axpy is elementwise and exactly matches the
-// serial kernel for any partitioning.
+// Basic vector kernels shared by the solvers. dot/norm2 always sum in
+// fixed kVectorOpGrain chunks (partials combined in chunk order), so their
+// results are bit-identical for every pool size, including no pool at all.
+// axpy is elementwise, so any partitioning gives the same result.
 double dot(std::span<const double> a, std::span<const double> b,
-           ThreadPool* pool);
-double norm2(std::span<const double> a, ThreadPool* pool);
+           ThreadPool* pool = nullptr);
+double norm2(std::span<const double> a, ThreadPool* pool = nullptr);
 void axpy(double alpha, std::span<const double> x, std::span<double> y,
-          ThreadPool* pool);
+          ThreadPool* pool = nullptr);
+void scale(double alpha, std::span<double> x);
 
 }  // namespace viaduct

@@ -104,17 +104,12 @@ std::string ViaArrayCharacterizationSpec::cacheKey() const {
      // governs recovery, never the physics (runs with discarded/salvaged
      // trials are never persisted).
      << ";rng=ctr1;key=p17"
-     // Level-1 network solver: the incremental shared-base/downdate path
-     // ("inc1", DESIGN.md §5.9) and the legacy from-scratch LU path
-     // ("exact") agree only to ~1e-12, so they key separately — a persisted
-     // entry is only rehydrated by the solver that produced it. The
-     // residual tolerance governs when the incremental path re-factors,
-     // which perturbs results at the same order, so it is part of the key
-     // on that path.
-     << ";solve=" << (network.exactResolve ? "exact" : "inc1");
-  if (!network.exactResolve)
-    os << ";rtol=" << network.refreshResidualTolerance;
-  // FEA preconditioner: like solve=, distinct preconditioners converge to
+     // Level-1 network solver tag: the incremental shared-base/downdate
+     // solve ("inc1", DESIGN.md §5.9). The residual tolerance governs when
+     // it re-factors, which perturbs results at the ~1e-12 level, so it is
+     // part of the key.
+     << ";solve=inc1;rtol=" << network.refreshResidualTolerance;
+  // FEA preconditioner: distinct preconditioners converge to
   // ulp-level different stress fields, so entries key separately.
   // (`primitiveStore` is excluded for the same reason `parallelism` is: a
   // warm primitive hit is bit-identical to the computed result.)

@@ -80,9 +80,7 @@ struct ViaArrayCharacterizationSpec {
   double totalCurrentDensity = 1.0e10;
 
   /// Crowding-network electrical config (totalCurrentAmps is derived, see
-  /// below). `network.exactResolve` selects the legacy from-scratch LU
-  /// solver instead of the incremental shared-base/downdate path for A/B
-  /// verification; the two key separately in cacheKey().
+  /// below); its residual tolerance is part of cacheKey().
   ViaArrayNetworkConfig network;
   EmParameters em;
 
@@ -94,7 +92,7 @@ struct ViaArrayCharacterizationSpec {
   /// (DESIGN.md §5.12) — with "ic0" and the seed's "bj" selectable for A/B
   /// verification. Distinct preconditioners converge to ulp-level
   /// *different* stress fields at the same tolerance, so this IS part of
-  /// cacheKey() and primitiveKey(), like the level-1 `solve=` tag.
+  /// cacheKey() and primitiveKey().
   FeaPreconditionerKind feaPreconditioner = FeaPreconditionerKind::kMultigrid;
 
   /// Optional on-disk store of FEA stress primitives, consulted before

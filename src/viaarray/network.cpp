@@ -71,9 +71,9 @@ ViaArrayNetwork::ViaArrayNetwork(const ViaArrayNetworkConfig& config)
   alive_.assign(static_cast<std::size_t>(viaCount()), true);
   aliveCount_ = viaCount();
 
-  // Build the immutable shared base: the healthy system stamped and solved
-  // (and, on the incremental path, factored) exactly once per
-  // configuration. Every copy of this network shares it.
+  // Build the immutable shared base: the healthy system stamped, factored
+  // and solved exactly once per configuration. Every copy of this network
+  // shares it.
   const int plate = config_.n * config_.n;
   const int feed = 2 * plate;
   const auto total = static_cast<std::size_t>(2 * plate + 1);
@@ -82,13 +82,10 @@ ViaArrayNetwork::ViaArrayNetwork(const ViaArrayNetworkConfig& config)
       1.0 / (config_.arrayResistanceOhms * static_cast<double>(plate));
   base->rhs.assign(total, 0.0);
   base->rhs[static_cast<std::size_t>(feed)] = config_.totalCurrentAmps;
-  stampMatrix(base->healthyG);
-  if (config_.exactResolve) {
-    base->healthyVoltages = base->healthyG.solve(base->rhs);
-  } else {
+  {
     VIADUCT_SPAN("viaarray.base_factor");
     VIADUCT_COUNTER_ADD("viaarray.base_factor_builds", 1);
-    base->healthyFactor = DenseCholeskyFactor(base->healthyG);
+    base->healthyFactor = DenseCholeskyFactor(stampedMatrix());
     base->healthyVoltages = base->healthyFactor.solve(base->rhs);
   }
   base->nominalResistance =
@@ -122,7 +119,6 @@ void ViaArrayNetwork::failVia(int via) {
   --aliveCount_;
   voltagesValid_ = false;
 
-  if (config_.exactResolve) return;
   if (aliveCount_ == 0) {
     // Singular system: no downdate (and no solve — nodeVoltages() throws).
     factorStale_ = true;
@@ -166,9 +162,9 @@ double ViaArrayNetwork::idealResistanceIncrease(int totalVias,
          static_cast<double>(totalVias - failedVias);
 }
 
-void ViaArrayNetwork::stampMatrix(DenseMatrix& g) const {
+DenseMatrix ViaArrayNetwork::stampedMatrix() const {
   const auto total = static_cast<std::size_t>(2 * config_.n * config_.n + 1);
-  g = DenseMatrix(total, total);
+  DenseMatrix g(total, total);
   forEachBranch(config_, alive_, [&g](int a, int b, double cond) {
     if (a >= 0)
       g(static_cast<std::size_t>(a), static_cast<std::size_t>(a)) += cond;
@@ -179,6 +175,7 @@ void ViaArrayNetwork::stampMatrix(DenseMatrix& g) const {
       g(static_cast<std::size_t>(b), static_cast<std::size_t>(a)) -= cond;
     }
   });
+  return g;
 }
 
 double ViaArrayNetwork::topologyResidual(const std::vector<double>& v) const {
@@ -220,25 +217,14 @@ double ViaArrayNetwork::topologyResidual(const std::vector<double>& v) const {
   return ss > 0.0 ? std::sqrt(rr / ss) : std::sqrt(rr);
 }
 
-void ViaArrayNetwork::solveExact(std::vector<double>& v) const {
-  // Mimics the organic all-vias-failed singularity so level-1 trial
-  // salvage/discard handling sees the same exception type either way.
-  if (fault::shouldInject("network.resolve")) {
-    throw NumericalError("via array network solve failed (injected fault)");
-  }
-  VIADUCT_SPAN("viaarray.network_solve_exact");
-  VIADUCT_COUNTER_ADD("viaarray.network_factorizations", 1);
-  DenseMatrix g;
-  stampMatrix(g);
-  v = g.solve(base_->rhs);
-}
-
 void ViaArrayNetwork::solveIncremental(std::vector<double>& v) const {
   bool forceRefresh = false;
   if (fault::shouldInject("network.resolve")) {
     // FailurePolicy tie-in: under a permissive policy a failed incremental
     // solve degrades to a fresh factorization of the current state instead
-    // of aborting the trial; otherwise it surfaces like the legacy path.
+    // of aborting the trial; otherwise it surfaces as a NumericalError, the
+    // same type as the organic all-vias-failed singularity, so level-1
+    // trial salvage/discard handling treats both alike.
     if (ownFactor_ && config_.policy.enabled &&
         config_.policy.refactorOnWoodburyFailure) {
       VIADUCT_COUNTER_ADD("viaarray.fault_degraded_solves", 1);
@@ -255,10 +241,7 @@ void ViaArrayNetwork::solveIncremental(std::vector<double>& v) const {
   const auto refresh = [this] {
     VIADUCT_SPAN("viaarray.network_refactor");
     VIADUCT_COUNTER_ADD("viaarray.refactors", 1);
-    VIADUCT_COUNTER_ADD("viaarray.network_factorizations", 1);
-    DenseMatrix g;
-    stampMatrix(g);
-    factor_.factor(g);  // throws NumericalError when truly singular
+    factor_.factor(stampedMatrix());  // throws NumericalError when singular
     factorStale_ = false;
   };
   if (factorStale_ || forceRefresh) refresh();
@@ -285,11 +268,7 @@ const std::vector<double>& ViaArrayNetwork::nodeVoltages() const {
     throw NumericalError("via array fully failed: no conducting path");
   if (!voltagesValid_) {
     VIADUCT_COUNTER_ADD("viaarray.network_solves", 1);
-    if (config_.exactResolve) {
-      solveExact(voltages_);
-    } else {
-      solveIncremental(voltages_);
-    }
+    solveIncremental(voltages_);
     voltagesValid_ = true;
   }
   return voltages_;

@@ -24,9 +24,9 @@
 // residual-guarded: when accumulated downdate roundoff (or a rejected
 // downdate, or an injected "network.resolve" fault under a permissive
 // FailurePolicy) breaks the tolerance, the current state is re-stamped and
-// factored from scratch instead of aborting the trial. The legacy
-// from-scratch dense LU path stays selectable via
-// ViaArrayNetworkConfig::exactResolve for A/B verification.
+// factored from scratch instead of aborting the trial. A from-scratch
+// dense LU solve of stampedMatrix() is kept only as a test and bench
+// oracle (bench/network_lu_oracle.h).
 #pragma once
 
 #include <memory>
@@ -47,18 +47,12 @@ struct ViaArrayNetworkConfig {
   /// Total current pushed through the array [A].
   double totalCurrentAmps = 0.01;
 
-  /// Legacy A/B path: re-stamp and LU-solve the full system from scratch
-  /// on every query instead of downdating the shared base factor. Slower
-  /// by ~N/10 per failure step; results agree with the incremental path to
-  /// ≤1e-10 (enforced by viaarray_network_incremental_test).
-  bool exactResolve = false;
-
-  /// Incremental path only: normalized KCL backward error
+  /// Normalized KCL backward error
   /// ‖Gv − b‖ / ‖ |G||v| + |b| ‖ above which the downdated factor is
   /// discarded and re-factored from scratch.
   double refreshResidualTolerance = 1e-10;
 
-  /// Recovery behavior of the incremental path: with the policy enabled
+  /// Recovery behavior of the incremental solve: with the policy enabled
   /// and `refactorOnWoodburyFailure`, an injected "network.resolve" fault
   /// degrades to a fresh factorization instead of failing the trial.
   /// Rejected downdates and residual breaches always refresh (they are
@@ -83,8 +77,8 @@ class ViaArrayNetwork {
   int aliveCount() const { return aliveCount_; }
   bool viaAlive(int via) const;
 
-  /// Marks a via failed (idempotent-checked: failing twice throws). On the
-  /// incremental path this downdates the copy-on-write factor in O(N²).
+  /// Marks a via failed (idempotent-checked: failing twice throws) and
+  /// downdates the copy-on-write factor in O(N²).
   void failVia(int via);
 
   /// Restores all vias (drops back to the shared base factor).
@@ -108,29 +102,27 @@ class ViaArrayNetwork {
   /// Via index helpers (row-major: via = row*n + col).
   int viaIndex(int row, int col) const;
 
+  /// The dense conductance system of the CURRENT alive state. Node layout:
+  /// upper plate 0..n²-1, lower plate n²..2n²-1, feed rail 2n² (the drain
+  /// rail is ground). The solver stamps it only when it re-factors from
+  /// scratch; the LU test oracle solves it directly.
+  DenseMatrix stampedMatrix() const;
+
  private:
   /// Immutable healthy-array state shared by every copy of a network.
   struct Base {
-    DenseMatrix healthyG;                // stamped healthy system
     std::vector<double> rhs;             // current injection at the feed
-    DenseCholeskyFactor healthyFactor;   // empty when exactResolve
+    DenseCholeskyFactor healthyFactor;
     std::vector<double> healthyVoltages;
     double nominalResistance = 0.0;
     double gVia = 0.0;
   };
-
-  /// Stamps the conductance system of the CURRENT alive state into `g`
-  /// (resized/cleared first).
-  void stampMatrix(DenseMatrix& g) const;
 
   /// Memoized node voltages of the current failure state; one solve per
   /// state regardless of how many viaCurrents()/effectiveResistance()
   /// queries follow. NOT thread-safe: a network instance belongs to one
   /// trial/thread (copies are independent).
   const std::vector<double>& nodeVoltages() const;
-
-  /// From-scratch LU resolve of the current state (legacy/exact path).
-  void solveExact(std::vector<double>& v) const;
 
   /// Incremental resolve: shared base factor for the healthy state, the
   /// downdated copy-on-write factor otherwise, with the residual-guarded
@@ -146,7 +138,7 @@ class ViaArrayNetwork {
   std::vector<bool> alive_;
   int aliveCount_ = 0;
 
-  // Copy-on-write incremental state (meaningful only when !exactResolve).
+  // Copy-on-write incremental state.
   mutable DenseCholeskyFactor factor_;  // clone of base factor + downdates
   bool ownFactor_ = false;
   mutable bool factorStale_ = false;  // rejected downdate: refresh on solve

@@ -1,20 +1,21 @@
-// Recovery-path tests: the FailurePolicy ladder (CG retry → Cholesky
-// fallback), Woodbury/session refactor recovery, characterization-cache
+// Recovery-path tests: the FEA CG retry ladder (ThermoSolver::solve),
+// Woodbury/session refactor recovery, characterization-cache
 // corruption recompute-and-rewrite, and per-trial discard/salvage/abort
 // semantics in the grid Monte Carlo.
 #include "fault/policy.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
 #include "fault/fault.h"
+#include "fea/thermo_solver.h"
 #include "grid/grid_mc.h"
-#include "numerics/cholesky.h"
-#include "numerics/spd_solve.h"
+#include "obs/obs.h"
 #include "spice/generator.h"
 #include "viaarray/cache.h"
 
@@ -29,100 +30,107 @@ class FaultPolicyTest : public ::testing::Test {
   }
 };
 
-/// Small diagonally dominant SPD system (1D Laplacian chain + shift).
-CsrMatrix makeSpd(Index n) {
-  TripletMatrix t(n, n);
-  for (Index i = 0; i < n; ++i) {
-    t.add(i, i, 4.0 + 0.01 * static_cast<double>(i));
-    if (i + 1 < n) {
-      t.add(i, i + 1, -1.0);
-      t.add(i + 1, i, -1.0);
-    }
+// ---------------------------------------------------------------------------
+// FEA CG ladder (ThermoSolver::solve): a stalled or NaN-poisoned solve is
+// retried from a zero guess with a tightened tolerance; a multigrid solve
+// also degrades to IC(0) on its first retry. There is no direct-solve rung.
+
+/// A small two-material stack (silicon under copper), so the stress field
+/// is not a trivial uniform slab.
+VoxelGrid feaGrid() {
+  VoxelGrid g = VoxelGrid::uniform(6, 6, 6, 0.25e-6, 0.25e-6, 0.2e-6,
+                                   MaterialId::kCopper);
+  for (Index k = 0; k < 3; ++k)
+    for (Index j = 0; j < 6; ++j)
+      for (Index i = 0; i < 6; ++i)
+        g.setMaterial(i, j, k, MaterialId::kSilicon);
+  return g;
+}
+
+ThermoSolverOptions feaOptions(FeaPreconditionerKind kind) {
+  ThermoSolverOptions opt;
+  opt.preconditioner = kind;
+  opt.parallelism.threads = 1;
+  return opt;
+}
+
+std::vector<double> allDisplacements(const ThermoSolver& solver,
+                                     const VoxelGrid& grid) {
+  std::vector<double> u;
+  for (Index k = 0; k <= grid.nz(); ++k)
+    for (Index j = 0; j <= grid.ny(); ++j)
+      for (Index i = 0; i <= grid.nx(); ++i) {
+        const auto d = solver.displacement(i, j, k);
+        u.insert(u.end(), d.begin(), d.end());
+      }
+  return u;
+}
+
+double relativeDiff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    num += (a[i] - b[i]) * (a[i] - b[i]);
+    den += b[i] * b[i];
   }
-  return CsrMatrix::fromTriplets(t);
+  return std::sqrt(num / den);
 }
 
-std::vector<double> makeRhs(Index n) {
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i)
-    b[static_cast<std::size_t>(i)] = 1.0 + 0.1 * static_cast<double>(i % 7);
-  return b;
-}
-
-TEST_F(FaultPolicyTest, CholeskyFallbackMatchesDirectSolve) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-
-  // Every CG attempt is forced to stall → the ladder must land on the
-  // direct solve and produce exactly what a standalone Cholesky produces.
-  fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
-
-  EXPECT_EQ(report.cgAttempts, 1 + fault::FailurePolicy{}.cgRetries);
-  EXPECT_TRUE(report.usedCholeskyFallback);
-  EXPECT_FALSE(report.lastCg.converged);
-
-  const auto direct = SparseCholesky(a).solve(b);
-  ASSERT_EQ(x.size(), direct.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_DOUBLE_EQ(x[i], direct[i]) << "component " << i;
-}
-
-TEST_F(FaultPolicyTest, RetryRecoversWithoutFallback) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-
-  // Only the first attempt stalls; the tightened retry must converge and
-  // the direct fallback stays untouched.
-  fault::Registry::instance().arm("cg.nonconverge", {.nth = 1});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
-
-  EXPECT_EQ(report.cgAttempts, 2);
-  EXPECT_FALSE(report.usedCholeskyFallback);
-  EXPECT_TRUE(report.lastCg.converged);
-  EXPECT_LT(a.residualNorm(x, b), 1e-8 * norm2(b));
+std::uint64_t counterValue(const char* name) {
+  return obs::Registry::instance().counter(name).value();
 }
 
 TEST_F(FaultPolicyTest, NanResidualIsRetriedFromZeroGuess) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
+  const VoxelGrid grid = feaGrid();
+  // The production preconditioner: the retry also swaps multigrid for
+  // IC(0), so nothing of the poisoned first attempt survives into it.
+  const ThermoSolverOptions opt = feaOptions(FeaPreconditionerKind::kMultigrid);
+  ThermoSolver clean(grid, opt);
+  ASSERT_TRUE(clean.solve().converged);
+  const auto reference = allDisplacements(clean, grid);
 
+  const auto retries0 = counterValue("fault.policy.fea_retries");
   fault::Registry::instance().arm("cg.nan_residual", {.nth = 1});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
+  ThermoSolver solver(grid, opt);
+  const CgResult res = solver.solve();
+  EXPECT_TRUE(res.converged);
+  EXPECT_TRUE(solver.solved());
+  EXPECT_EQ(counterValue("fault.policy.fea_retries") - retries0, 1u);
+  EXPECT_EQ(solver.activePreconditioner(), FeaPreconditionerKind::kIc0);
+  EXPECT_LE(relativeDiff(allDisplacements(solver, grid), reference),
+            opt.cgRelativeTolerance);
+}
 
-  EXPECT_EQ(report.cgAttempts, 2);
-  EXPECT_TRUE(report.lastCg.converged);
-  EXPECT_LT(a.residualNorm(x, b), 1e-8 * norm2(b));
+TEST_F(FaultPolicyTest, RetryRecoversWithoutFallback) {
+  // IC(0) has no preconditioner rung to fall to: one stall is recovered by
+  // the tightened retry alone.
+  const VoxelGrid grid = feaGrid();
+  const auto retries0 = counterValue("fault.policy.fea_retries");
+  const auto fallbacks0 = counterValue("fault.policy.fea_precond_fallbacks");
+  fault::Registry::instance().arm("cg.nonconverge", {.nth = 1});
+  ThermoSolver solver(grid, feaOptions(FeaPreconditionerKind::kIc0));
+  EXPECT_TRUE(solver.solve().converged);
+  EXPECT_EQ(counterValue("fault.policy.fea_retries") - retries0, 1u);
+  EXPECT_EQ(counterValue("fault.policy.fea_precond_fallbacks"), fallbacks0);
+  EXPECT_EQ(solver.activePreconditioner(), FeaPreconditionerKind::kIc0);
 }
 
 TEST_F(FaultPolicyTest, DisabledPolicyPropagatesTheFailure) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
+  const VoxelGrid grid = feaGrid();
+  ThermoSolverOptions opt = feaOptions(FeaPreconditionerKind::kIc0);
+  opt.policy = fault::FailurePolicy::disabled();
+  const auto retries0 = counterValue("fault.policy.fea_retries");
+
   fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{},
-                                  fault::FailurePolicy::disabled()),
-               NumericalError);
+  ThermoSolver stalled(grid, opt);
+  EXPECT_THROW(stalled.solve(), NumericalError);
 
   fault::Registry::instance().disarmAll();
   fault::Registry::instance().arm("cg.nan_residual", {.probability = 1.0});
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{},
-                                  fault::FailurePolicy::disabled()),
-               NumericalError);
-}
-
-TEST_F(FaultPolicyTest, FallbackCanBeSwitchedOff) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-  fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  fault::FailurePolicy policy;
-  policy.fallbackCgToCholesky = false;
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{}, policy), NumericalError);
+  ThermoSolver poisoned(grid, opt);
+  EXPECT_THROW(poisoned.solve(), NumericalError);
+  EXPECT_FALSE(poisoned.solved());
+  EXPECT_EQ(counterValue("fault.policy.fea_retries"), retries0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "numerics/dense.h"
 #include "obs/obs.h"
 #include "obs/solver_health.h"
@@ -185,6 +188,48 @@ TEST_P(CgSizeSweep, ResidualMeetsTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(GridSizes, CgSizeSweep,
                          ::testing::Values(2, 5, 9, 16, 25));
+
+// --- Pool invariance -------------------------------------------------------
+
+TEST(ConjugateGradient, BitIdenticalWithoutPoolAndForAnyPoolSize) {
+  // 10 000 unknowns: more than one kVectorOpGrain chunk, so the reductions
+  // really are split. No pool, a 1-thread and a 4-thread pool must produce
+  // the same iterates, iteration counts and residuals bit for bit — both
+  // for a run cut short mid-iteration and for the converged solve.
+  const CsrMatrix a = laplacian2d(100, 100, 0.01);
+  ASSERT_GT(a.rows(), kVectorOpGrain);
+  Rng rng(31);
+  const auto b = randomVector(static_cast<std::size_t>(a.rows()), rng);
+  const JacobiPreconditioner m(a);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const int maxIterations : {10, 10000}) {
+    std::vector<std::vector<double>> xs;
+    std::vector<CgResult> results;
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      CgOptions opts;
+      opts.maxIterations = maxIterations;
+      opts.throwOnStall = false;
+      opts.pool = pool;
+      std::vector<double> x(b.size(), 0.0);
+      results.push_back(conjugateGradient(a, b, x, m, opts));
+      xs.push_back(std::move(x));
+    }
+    EXPECT_EQ(results[0].converged, maxIterations > 10);
+    for (std::size_t k = 1; k < xs.size(); ++k) {
+      EXPECT_EQ(results[k].iterations, results[0].iterations) << k;
+      EXPECT_EQ(results[k].converged, results[0].converged) << k;
+      EXPECT_EQ(std::memcmp(&results[k].relativeResidual,
+                            &results[0].relativeResidual, sizeof(double)),
+                0)
+          << k;
+      EXPECT_EQ(std::memcmp(xs[k].data(), xs[0].data(),
+                            xs[0].size() * sizeof(double)),
+                0)
+          << "pool " << k << ", maxIterations " << maxIterations;
+    }
+  }
+}
 
 // --- Solver-health traces -------------------------------------------------
 

@@ -230,5 +230,30 @@ TEST_F(CacheTest, RehydrationValidatesShape) {
   EXPECT_THROW(ViaArrayCharacterizer(spec, bad2), PreconditionError);
 }
 
+TEST(CacheKeys, DefaultSpecKeysArePinned) {
+  // Every persisted characterization, checkpoint and primitive-store entry
+  // is addressed by these strings: a change to either silently orphans
+  // every store written before it, so it must come with a deliberate
+  // version bump, never by accident.
+  const ViaArrayCharacterizationSpec spec;
+  EXPECT_EQ(spec.cacheKey(),
+            "n=4;A=9.9999999999999998e-13;sp=0;pat=Plus;"
+            "w=1.9999999999999999e-06;m=1.5e-06;res=1.2499999999999999e-07;"
+            "j=10000000000;Rarr=0.40000000000000002;sheet=0.02;"
+            "Ea=0.84999999999999998;D0=2.7000000000000002e-09;"
+            "sD=0.29999999999999999;rho=2.9999999999999997e-08;"
+            "B=28000000000;gam=1.7;Rf=1e-08;sRf=0.050000000000000003;"
+            "T=378.14999999999998;pkg=0;cal=0.80000000000000004,0;tr=500;"
+            "seed=12345;stk=2.9999999999999999e-07,2.4999999999999999e-07,"
+            "2.9999999999999999e-07;rng=ctr1;key=p17;solve=inc1;rtol=1e-10;"
+            "fea=mg");
+  EXPECT_EQ(spec.primitiveKey(),
+            "n=4;A=9.9999999999999998e-13;sp=0;pat=Plus;"
+            "w=1.9999999999999999e-06;m=1.5e-06;res=1.2499999999999999e-07;"
+            "stk=2.9999999999999999e-07,2.4999999999999999e-07,"
+            "2.9999999999999999e-07;fea=mg;Ta=350;Top=105;"
+            "tol=9.9999999999999995e-08;key=p17v1");
+}
+
 }  // namespace
 }  // namespace viaduct

@@ -191,38 +191,6 @@ TEST(Characterizer, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Characterizer, ExactAndIncrementalPathsAgree) {
-  // A/B equivalence of the two network solvers through the whole level-1
-  // pipeline. The per-step currents agree to ~1e-12 relative, so the
-  // simulated failure ORDER can only differ when two via budgets run out
-  // almost simultaneously — rare enough that the TTF samples are close in
-  // aggregate. Compare the lognormal fits and quantiles statistically.
-  auto spec = fastSpec();
-  spec.seed = 77;
-  spec.trials = 60;
-  spec.network.exactResolve = false;
-  ViaArrayCharacterizer incremental(spec);
-  spec.network.exactResolve = true;
-  ViaArrayCharacterizer exact(spec);
-  ASSERT_NE(incremental.spec().cacheKey(), exact.spec().cacheKey());
-
-  EXPECT_NEAR(incremental.nominalResistance(), exact.nominalResistance(),
-              1e-10 * exact.nominalResistance());
-  const auto crit = ViaArrayFailureCriterion::openCircuit();
-  const auto fitInc = incremental.ttfLognormal(crit);
-  const auto fitExact = exact.ttfLognormal(crit);
-  EXPECT_NEAR(fitInc.mu(), fitExact.mu(), 1e-6 * std::abs(fitExact.mu()));
-  EXPECT_NEAR(fitInc.sigma(), fitExact.sigma(),
-              1e-6 * std::abs(fitExact.sigma()) + 1e-9);
-  // Per-trial: identical draws, near-identical physics — every sample
-  // should match to solver roundoff amplified through the budget race.
-  const auto si = incremental.ttfSamples(crit);
-  const auto se = exact.ttfSamples(crit);
-  ASSERT_EQ(si.size(), se.size());
-  for (std::size_t i = 0; i < si.size(); ++i)
-    EXPECT_NEAR(si[i], se[i], 1e-6 * se[i]) << "trial " << i;
-}
-
 TEST(Library, MemoizesBySpec) {
   auto& lib = sharedLibrary();
   auto a = lib.get(fastSpec());

@@ -1,10 +1,11 @@
 // Property tests of the incremental (shared-base + rank-1 downdate)
-// network solver against the legacy from-scratch LU path (DESIGN.md §5.9):
-// the two must agree step by step over random failure sequences, survive
-// the all-but-one-failed extreme, fail identically on a fully open array,
-// and the incremental path must degrade to a fresh factorization — not a
-// lost trial — under injected "network.resolve" faults when the failure
-// policy allows it.
+// network solver against a from-scratch dense LU oracle (DESIGN.md §5.9,
+// bench/network_lu_oracle.h): copies of one healthy prototype — the way
+// the characterizer uses the network — must agree with the oracle step by
+// step over random failure sequences, survive the all-but-one-failed
+// extreme, fail like the oracle on a fully open array, and degrade to a
+// fresh factorization — not a lost trial — under injected
+// "network.resolve" faults when the failure policy allows it.
 #include "viaarray/network.h"
 
 #include <gtest/gtest.h>
@@ -17,18 +18,18 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "fault/fault.h"
+#include "network_lu_oracle.h"
 #include "obs/obs.h"
 
 namespace viaduct {
 namespace {
 
-ViaArrayNetworkConfig configFor(int n, bool exact) {
+ViaArrayNetworkConfig configFor(int n) {
   ViaArrayNetworkConfig cfg;
   cfg.n = n;
   cfg.arrayResistanceOhms = 0.4;
   cfg.sheetResistancePerSquare = 0.02;
   cfg.totalCurrentAmps = 0.01;
-  cfg.exactResolve = exact;
   return cfg;
 }
 
@@ -56,35 +57,46 @@ class ViaArrayNetworkIncremental : public ::testing::Test {
 
 TEST_F(ViaArrayNetworkIncremental, MatchesExactOverRandomFailureSequences) {
   Rng rng(24601);
-  for (const int n : {2, 4, 6, 9}) {
-    ViaArrayNetwork incremental(configFor(n, false));
-    ViaArrayNetwork exact(configFor(n, true));
-    const auto order = failureOrder(incremental.viaCount(), rng);
-    // Compare at every step down to a single surviving via (the
-    // all-but-one-failed edge case is the last iteration).
-    for (std::size_t step = 0; step + 1 < order.size(); ++step) {
-      incremental.failVia(order[step]);
-      exact.failVia(order[step]);
-      const double rInc = incremental.effectiveResistance();
-      const double rExact = exact.effectiveResistance();
-      ASSERT_NEAR(rInc, rExact, 1e-10 * std::max(1.0, std::abs(rExact)))
-          << "n=" << n << " step=" << step;
-      const auto iInc = incremental.viaCurrents();
-      const auto iExact = exact.viaCurrents();
-      ASSERT_EQ(iInc.size(), iExact.size());
-      for (std::size_t v = 0; v < iInc.size(); ++v) {
-        ASSERT_NEAR(iInc[v], iExact[v], 1e-10)
-            << "n=" << n << " step=" << step << " via=" << v;
+  for (const int n : {2, 3, 4, 5, 6, 9}) {
+    const ViaArrayNetworkConfig cfg = configFor(n);
+    const ViaArrayNetwork prototype(cfg);
+    const int orders = n <= 6 ? 8 : 2;
+    for (int o = 0; o < orders; ++o) {
+      // One Monte Carlo trial: a copy of the shared healthy prototype.
+      ViaArrayNetwork net = prototype;
+      const auto order = failureOrder(net.viaCount(), rng);
+      // Compare at every step down to a single surviving via (the
+      // all-but-one-failed edge case is the last iteration).
+      for (std::size_t step = 0; step + 1 < order.size(); ++step) {
+        net.failVia(order[step]);
+        const NetworkLuSolution exact = luOracleSolve(net, cfg);
+        const double r = net.effectiveResistance();
+        ASSERT_NEAR(r, exact.effectiveResistance,
+                    1e-10 * std::max(1.0, std::abs(exact.effectiveResistance)))
+            << "n=" << n << " order=" << o << " step=" << step;
+        const auto currents = net.viaCurrents();
+        ASSERT_EQ(currents.size(), exact.viaCurrents.size());
+        for (std::size_t v = 0; v < currents.size(); ++v) {
+          ASSERT_NEAR(currents[v], exact.viaCurrents[v], 1e-10)
+              << "n=" << n << " order=" << o << " step=" << step
+              << " via=" << v;
+        }
+        // Conservation: alive currents always sum to the injected total.
+        const double sum =
+            std::accumulate(currents.begin(), currents.end(), 0.0);
+        ASSERT_NEAR(sum, 0.01, 1e-10);
       }
-      // Conservation: alive currents always sum to the injected total.
-      const double sum = std::accumulate(iInc.begin(), iInc.end(), 0.0);
-      ASSERT_NEAR(sum, 0.01, 1e-10);
     }
+    // The prototype itself never left the healthy state.
+    EXPECT_EQ(prototype.aliveCount(), prototype.viaCount());
+    EXPECT_NEAR(prototype.effectiveResistance(),
+                luOracleSolve(prototype, cfg).effectiveResistance,
+                1e-10 * prototype.effectiveResistance());
   }
 }
 
 TEST_F(ViaArrayNetworkIncremental, ResetRejoinsSharedBase) {
-  ViaArrayNetwork net(configFor(4, false));
+  ViaArrayNetwork net(configFor(4));
   const double nominal = net.effectiveResistance();
   net.failVia(0);
   net.failVia(5);
@@ -95,7 +107,7 @@ TEST_F(ViaArrayNetworkIncremental, ResetRejoinsSharedBase) {
 }
 
 TEST_F(ViaArrayNetworkIncremental, CopiesShareBaseButFailIndependently) {
-  ViaArrayNetwork proto(configFor(4, false));
+  ViaArrayNetwork proto(configFor(4));
   ViaArrayNetwork a = proto;
   ViaArrayNetwork b = proto;
   a.failVia(0);
@@ -112,17 +124,17 @@ TEST_F(ViaArrayNetworkIncremental, CopiesShareBaseButFailIndependently) {
 }
 
 TEST_F(ViaArrayNetworkIncremental, FullFailureThrowsOnBothPaths) {
-  for (const bool exact : {false, true}) {
-    ViaArrayNetwork net(configFor(2, exact));
-    for (int v = 0; v < net.viaCount(); ++v) net.failVia(v);
-    EXPECT_THROW(net.effectiveResistance(), NumericalError);
-    EXPECT_THROW(net.viaCurrents(), NumericalError);
-  }
+  const ViaArrayNetworkConfig cfg = configFor(2);
+  ViaArrayNetwork net(cfg);
+  for (int v = 0; v < net.viaCount(); ++v) net.failVia(v);
+  EXPECT_THROW(net.effectiveResistance(), NumericalError);
+  EXPECT_THROW(net.viaCurrents(), NumericalError);
+  EXPECT_THROW(luOracleSolve(net, cfg), NumericalError);
 }
 
 TEST_F(ViaArrayNetworkIncremental, MemoizesSolvePerFailureState) {
   auto& solves = obs::Registry::instance().counter("viaarray.network_solves");
-  ViaArrayNetwork net(configFor(4, false));
+  ViaArrayNetwork net(configFor(4));
   net.failVia(3);
   const auto before = solves.value();
   net.effectiveResistance();
@@ -137,25 +149,13 @@ TEST_F(ViaArrayNetworkIncremental, MemoizesSolvePerFailureState) {
   EXPECT_EQ(solves.value(), before + 2);
 }
 
-TEST_F(ViaArrayNetworkIncremental, LegacyPathAlsoMemoizes) {
-  auto& facts =
-      obs::Registry::instance().counter("viaarray.network_factorizations");
-  ViaArrayNetwork net(configFor(4, true));
-  net.failVia(3);
-  const auto before = facts.value();
-  net.effectiveResistance();
-  net.viaCurrents();
-  net.effectiveResistance();
-  EXPECT_EQ(facts.value(), before + 1);
-}
-
 TEST_F(ViaArrayNetworkIncremental, OneDowndatePerFailureNoRefactors) {
   auto& downdates = obs::Registry::instance().counter("viaarray.downdates");
   auto& refactors = obs::Registry::instance().counter("viaarray.refactors");
   const auto d0 = downdates.value();
   const auto r0 = refactors.value();
   Rng rng(7);
-  ViaArrayNetwork net(configFor(6, false));
+  ViaArrayNetwork net(configFor(6));
   const auto order = failureOrder(net.viaCount(), rng);
   for (std::size_t step = 0; step + 1 < order.size(); ++step) {
     net.failVia(order[step]);
@@ -176,35 +176,24 @@ TEST_F(ViaArrayNetworkIncremental, InjectedFaultDegradesToRefactor) {
   const auto g0 = degraded.value();
   const auto r0 = refactors.value();
 
-  ViaArrayNetworkConfig cfg = configFor(4, false);  // policy enabled
+  const ViaArrayNetworkConfig cfg = configFor(4);  // policy enabled
   ViaArrayNetwork net(cfg);
-  ViaArrayNetwork exact(configFor(4, true));
-  fault::Registry::instance().disarmAll();  // exact reference runs clean
-  reg.arm("network.resolve", {.probability = 1.0});
   net.failVia(2);
   const double r = net.effectiveResistance();
   EXPECT_GT(degraded.value(), g0);
   EXPECT_GT(refactors.value(), r0);
   // The degraded solve still produces the right answer.
-  reg.disarmAll();
-  exact.failVia(2);
-  EXPECT_NEAR(r, exact.effectiveResistance(), 1e-10);
+  EXPECT_NEAR(r, luOracleSolve(net, cfg).effectiveResistance, 1e-10);
 }
 
 TEST_F(ViaArrayNetworkIncremental, InjectedFaultThrowsUnderDisabledPolicy) {
   auto& reg = fault::Registry::instance();
   reg.arm("network.resolve", {.probability = 1.0});
-  ViaArrayNetworkConfig cfg = configFor(4, false);
+  ViaArrayNetworkConfig cfg = configFor(4);
   cfg.policy = fault::FailurePolicy::disabled();
   ViaArrayNetwork net(cfg);
   net.failVia(2);
   EXPECT_THROW(net.effectiveResistance(), NumericalError);
-  // The legacy path throws under the same fault regardless of policy.
-  reg.disarmAll();
-  reg.arm("network.resolve", {.probability = 1.0});
-  ViaArrayNetwork legacy(configFor(4, true));
-  legacy.failVia(2);
-  EXPECT_THROW(legacy.effectiveResistance(), NumericalError);
 }
 
 TEST_F(ViaArrayNetworkIncremental, HealthyStateServedFromMemoEvenUnderFault) {
@@ -212,7 +201,7 @@ TEST_F(ViaArrayNetworkIncremental, HealthyStateServedFromMemoEvenUnderFault) {
   // restored by reset(), so healthy queries never re-enter the solver —
   // an armed fault cannot touch them.
   auto& reg = fault::Registry::instance();
-  ViaArrayNetwork net(configFor(3, false));  // memo seeded at construction
+  ViaArrayNetwork net(configFor(3));  // memo seeded at construction
   reg.arm("network.resolve", {.probability = 1.0});
   net.failVia(0);
   net.reset();  // restores the healthy memo
@@ -221,14 +210,13 @@ TEST_F(ViaArrayNetworkIncremental, HealthyStateServedFromMemoEvenUnderFault) {
 
 TEST_F(ViaArrayNetworkIncremental, TightToleranceForcesRefactorsButAgrees) {
   // An absurdly tight residual tolerance makes the guard fire on roundoff;
-  // the refresh path must keep the answers identical to the exact path,
+  // the refresh path must keep the answers identical to the LU oracle's,
   // only slower. (After a fresh factorization the residual is within
   // machine roundoff of the backward-stable optimum, so the post-refresh
   // check passes and nothing throws.)
-  ViaArrayNetworkConfig cfg = configFor(5, false);
+  ViaArrayNetworkConfig cfg = configFor(5);
   cfg.refreshResidualTolerance = 1e-18;
   ViaArrayNetwork net(cfg);
-  ViaArrayNetwork exact(configFor(5, true));
   auto& refactors = obs::Registry::instance().counter("viaarray.refactors");
   const auto r0 = refactors.value();
   Rng rng(99);
@@ -236,10 +224,9 @@ TEST_F(ViaArrayNetworkIncremental, TightToleranceForcesRefactorsButAgrees) {
   bool threw = false;
   for (std::size_t step = 0; step + 1 < order.size(); ++step) {
     net.failVia(order[step]);
-    exact.failVia(order[step]);
     try {
-      EXPECT_NEAR(net.effectiveResistance(), exact.effectiveResistance(),
-                  1e-9);
+      EXPECT_NEAR(net.effectiveResistance(),
+                  luOracleSolve(net, cfg).effectiveResistance, 1e-9);
     } catch (const NumericalError&) {
       // Acceptable only if even a fresh factor can't hit 1e-18 — which is
       // the expected outcome for most steps; the point is determinism, not

@@ -10,9 +10,9 @@
 #   5. an uninjected CLI smoke run that must complete WARN-free: with no
 #      site armed, no recovery path may fire and nothing may warn. The run
 #      checkpoints, is re-run with --resume, and both must agree;
-#   6. the perf_viaarray A/B smoke: the incremental network solver and the
-#      legacy exact path must agree step-by-step and across a full level-1
-#      characterization (exit is nonzero on mismatch, never on timing);
+#   6. the perf_viaarray smoke: the incremental network solver must agree
+#      step-by-step with a from-scratch LU oracle over full failure sweeps
+#      at n = 3, 5, 7, 9 (exit is nonzero on mismatch, never on timing);
 #   7. the perf_grid_scale smoke: the level-2 shared-base supernodal engine
 #      on a ~1e4-node synthetic mesh — asserts up-looking/supernodal voltage
 #      parity, thread-count bit-identity, a floor on the shared-base
@@ -112,10 +112,10 @@ if grep -E "\[viaduct (WARN|ERROR)" "$SMOKE_LOG"; then
 fi
 echo "smoke run clean (no WARN/ERROR lines, resume exact)"
 
-echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
-# Benchmark registrations are skipped (filter matches nothing); the manual
-# A/B cross-check and BENCH_viaarray.json still run. Exit is nonzero only
-# if the two solver paths disagree.
+echo "=== [6/13] perf_viaarray: incremental solver vs LU oracle smoke ==="
+# Benchmark registrations are skipped (filter matches nothing); the
+# per-step sweep check and BENCH_viaarray.json still run. Exit is nonzero
+# only if the incremental solve and the LU oracle disagree.
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
 echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="

@@ -62,6 +62,21 @@ Netlist loadGrid(const std::string& netlistPath, const std::string& preset) {
   return generatePgBenchmark(presetFlag(preset));
 }
 
+FeaPreconditionerKind feaPrecondFlag(const std::string& name) {
+  const auto kind = parseFeaPreconditionerName(name);
+  if (!kind)
+    throw PreconditionError("unknown --fea-precond '" + name +
+                            "' (mg, ic0, or bj)");
+  return *kind;
+}
+
+/// A characterization library, persisted to `cachePath` unless it is empty.
+std::shared_ptr<ViaArrayLibrary> libraryFlag(const std::string& cachePath) {
+  if (cachePath.empty()) return std::make_shared<ViaArrayLibrary>();
+  return std::make_shared<ViaArrayLibrary>(
+      std::make_shared<CharacterizationStore>(cachePath));
+}
+
 int cmdGenerate(int argc, const char* const* argv) {
   std::string preset = "PG1";
   std::string out;
@@ -98,7 +113,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
                            feaPrecond = "mg", primitiveStorePath;
   int viaN = 4, trials = 300, charTrials = 300, threads = 0,
       checkpointEvery = 32;
-  bool resume = false, exactResolve = false, wireAudit = false;
+  bool resume = false, wireAudit = false;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
   std::string gridSolver = "uplooking", gridOrdering = "rcm",
               emMode = "steady";
@@ -124,10 +139,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   flags.addBool("resume", &resume,
                 "resume completed trials from --checkpoint (stale or "
                 "corrupt snapshots are rejected and re-run)");
-  flags.addBool("exact-resolve", &exactResolve,
-                "characterize with the legacy from-scratch LU network solve "
-                "instead of the incremental factor-downdate path (slow; A/B "
-                "verification only)");
   flags.addString("fea-precond", &feaPrecond,
                   "FEA stress-solve preconditioner: mg (geometric multigrid, "
                   "fastest), ic0, or bj (seed baseline)");
@@ -158,12 +169,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.viaArraySize = viaN;
   config.trials = trials;
   config.characterization.trials = charTrials;
-  config.characterization.network.exactResolve = exactResolve;
-  const auto kind = parseFeaPreconditionerName(feaPrecond);
-  if (!kind)
-    throw PreconditionError("unknown --fea-precond '" + feaPrecond +
-                            "' (mg, ic0, or bj)");
-  config.characterization.feaPreconditioner = *kind;
+  config.characterization.feaPreconditioner = feaPrecondFlag(feaPrecond);
   if (!primitiveStorePath.empty())
     config.characterization.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
@@ -178,11 +184,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.emMode = parseSignoffMode(emMode);
   config.wireStressMarginPa = wireMarginMpa * units::MPa;
 
-  auto library =
-      cachePath.empty()
-          ? std::make_shared<ViaArrayLibrary>()
-          : std::make_shared<ViaArrayLibrary>(
-                std::make_shared<CharacterizationStore>(cachePath));
+  auto library = libraryFlag(cachePath);
   PowerGridEmAnalyzer analyzer(loadGrid(netlistPath, preset), config,
                                library);
 
@@ -228,7 +230,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
 
 int cmdCharacterize(int argc, const char* const* argv) {
   int n = 4, trials = 500, threads = 0, checkpointEvery = 32;
-  bool resume = false, exactResolve = false;
+  bool resume = false;
   std::string pattern = "Plus", criterion = "open", cachePath, checkpointPath,
               feaPrecond = "mg", primitiveStorePath;
   CliFlags flags("viaduct_cli characterize: level-1 via-array TTF");
@@ -248,10 +250,6 @@ int cmdCharacterize(int argc, const char* const* argv) {
   flags.addBool("resume", &resume,
                 "resume completed trials from --checkpoint (stale or "
                 "corrupt snapshots are rejected and re-run)");
-  flags.addBool("exact-resolve", &exactResolve,
-                "use the legacy from-scratch LU network solve instead of "
-                "the incremental factor-downdate path (slow; A/B "
-                "verification only)");
   flags.addString("fea-precond", &feaPrecond,
                   "FEA stress-solve preconditioner: mg (geometric multigrid, "
                   "fastest), ic0, or bj (seed baseline)");
@@ -262,12 +260,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
 
   ViaArrayCharacterizationSpec spec;
   spec.array.n = n;
-  spec.network.exactResolve = exactResolve;
-  const auto kind = parseFeaPreconditionerName(feaPrecond);
-  if (!kind)
-    throw PreconditionError("unknown --fea-precond '" + feaPrecond +
-                            "' (mg, ic0, or bj)");
-  spec.feaPreconditioner = *kind;
+  spec.feaPreconditioner = feaPrecondFlag(feaPrecond);
   if (!primitiveStorePath.empty())
     spec.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
@@ -283,12 +276,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
   if (resume && checkpointPath.empty())
     throw PreconditionError("--resume needs --checkpoint <path>");
 
-  auto library =
-      cachePath.empty()
-          ? std::make_shared<ViaArrayLibrary>()
-          : std::make_shared<ViaArrayLibrary>(
-                std::make_shared<CharacterizationStore>(cachePath));
-  auto ch = library->get(spec);
+  auto ch = libraryFlag(cachePath)->get(spec);
   const auto critParsed = ViaArrayFailureCriterion::parse(criterion);
   if (!critParsed)
     throw PreconditionError("bad --criterion '" + criterion +
