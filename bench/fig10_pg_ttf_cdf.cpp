@@ -10,7 +10,6 @@
 #include "common/cli.h"
 #include "common/logging.h"
 #include "core/analyzer.h"
-#include "viaarray/cache.h"
 #include "spice/generator.h"
 
 using namespace viaduct;
@@ -37,11 +36,7 @@ int main(int argc, char** argv) {
   std::cout << "Paper: IR-drop system criterion > weakest-link; R=inf array "
                "criterion > weakest-link; 8x8 > 4x4.\n\n";
 
-  auto library =
-      cachePath.empty()
-          ? std::make_shared<ViaArrayLibrary>()
-          : std::make_shared<ViaArrayLibrary>(
-                std::make_shared<CharacterizationStore>(cachePath));
+  auto library = openViaArrayLibrary(cachePath);
   using AC = ViaArrayFailureCriterion;
   using SC = GridFailureCriterion;
 

@@ -6,6 +6,11 @@
 // Ntrials = 500.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "grid/power_grid.h"
 #include "numerics/woodbury.h"
@@ -92,46 +97,49 @@ BENCHMARK(BM_FullRefactorFailureStep)
     ->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_WoodburyRebaseThresholdSweep(benchmark::State& state) {
-  // How the rebase threshold trades per-step cost: 20 sequential failures
-  // at various thresholds.
-  const Netlist netlist = makeGrid(20);
-  const PowerGridModel model(netlist);
-  const int threshold = static_cast<int>(state.range(0));
-  Rng rng(4);
-  for (auto _ : state) {
-    state.PauseTiming();
-    // Session's solver options are internal; emulate with WoodburySolver on
-    // a surrogate mesh of the same size.
-    TripletMatrix t(model.unknownCount(), model.unknownCount());
-    const Index side = 20;
-    for (Index i = 0; i < model.unknownCount(); ++i) {
-      t.add(i, i, 0.05);
-      if (i + 1 < model.unknownCount() && (i + 1) % side != 0)
-        t.stampConductance(i, i + 1, 1.0);
-      if (i + side < model.unknownCount()) t.stampConductance(i, i + side, 1.0);
+void BM_WoodburyStepAtPendingCount(benchmark::State& state) {
+  // One failure step on a solver that then tracks k branches (k ≤ the
+  // default rebase threshold, 256, so it never folds): the new branch's
+  // incidence column, one bordered row of the capacitance factor and a
+  // fixed-rhs solve, O(k²) + O(k·n). The timed loop also cancels the branch
+  // again, which drops that last row and keeps the other k − 1.
+  const int k = static_cast<int>(state.range(0));
+  constexpr Index kSide = 32;
+  constexpr Index kNodes = kSide * kSide;
+  TripletMatrix t(kNodes, kNodes);
+  std::vector<std::pair<Index, Index>> edges;
+  for (Index i = 0; i < kNodes; ++i) {
+    t.add(i, i, 0.05);
+    if ((i + 1) % kSide != 0) {
+      t.stampConductance(i, i + 1, 1.0);
+      edges.emplace_back(i, i + 1);
     }
-    WoodburySolver::Options opts;
-    opts.rebaseThreshold = threshold;
-    WoodburySolver solver(CsrMatrix::fromTriplets(t), opts);
-    std::vector<double> b(static_cast<std::size_t>(model.unknownCount()), 1e-4);
-    state.ResumeTiming();
-    for (int k = 0; k < 20; ++k) {
-      const Index i = static_cast<Index>(rng.uniformInt(
-          static_cast<std::uint64_t>(model.unknownCount() - side - 1)));
-      const Index j = ((i + 1) % side != 0) ? i + 1 : i + side;
-      const double g = -solver.currentMatrix().at(i, j);
-      solver.updateBranch(i, j, -0.5 * g);
-      benchmark::DoNotOptimize(solver.solve(b));
-    }
+    if (i + kSide < kNodes) t.stampConductance(i, i + kSide, 1.0);
   }
-  state.SetLabel("threshold " + std::to_string(threshold));
+  auto rhs = std::make_shared<const std::vector<double>>(kNodes, 1e-4);
+  WoodburySolver solver(CsrMatrix::fromTriplets(t), WoodburySolver::Options{},
+                        rhs);
+  // Every other horizontal edge is pending; the stepped one sits between.
+  for (int m = 0; m + 1 < k; ++m) {
+    const auto [i, j] = edges[static_cast<std::size_t>(2 * m)];
+    solver.updateBranch(i, j, -0.5);
+  }
+  const auto [i, j] = edges[static_cast<std::size_t>(2 * k - 1)];
+  for (auto _ : state) {
+    solver.updateBranch(i, j, -0.5);
+    benchmark::DoNotOptimize(solver.solveFixedRhs());
+    solver.updateBranch(i, j, 0.5);
+  }
+  if (solver.rebaseCount() != 0) state.SkipWithError("the solver folded");
+  state.SetLabel("k = " + std::to_string(k) + " pending, " +
+                 std::to_string(kNodes) + " nodes");
 }
-BENCHMARK(BM_WoodburyRebaseThresholdSweep)
-    ->Arg(4)
+BENCHMARK(BM_WoodburyStepAtPendingCount)
     ->Arg(16)
     ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace viaduct

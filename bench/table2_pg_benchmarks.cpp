@@ -19,7 +19,6 @@
 #include "common/cli.h"
 #include "common/logging.h"
 #include "core/analyzer.h"
-#include "viaarray/cache.h"
 #include "spice/generator.h"
 
 using namespace viaduct;
@@ -43,11 +42,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Table 2: worst-case (0.3%ile) TTF [years] ===\n\n";
 
-  auto library =
-      cachePath.empty()
-          ? std::make_shared<ViaArrayLibrary>()
-          : std::make_shared<ViaArrayLibrary>(
-                std::make_shared<CharacterizationStore>(cachePath));
+  auto library = openViaArrayLibrary(cachePath);
   using AC = ViaArrayFailureCriterion;
   using SC = GridFailureCriterion;
   const PgPreset presets[] = {PgPreset::kPg1, PgPreset::kPg2, PgPreset::kPg5};

@@ -83,8 +83,12 @@ int main(int argc, char** argv) {
   TextTable table({"via (row,col)", "sigma_T [MPa]", "I share [%]"});
   for (std::size_t i = 0; i < ch.sigmaT().size(); ++i) {
     const auto& v = ch.vias()[i];
-    table.addRow({"(" + std::to_string(v.row) + "," + std::to_string(v.col) +
-                      (v.interior ? ") int" : ")"),
+    std::string site = "(";
+    site += std::to_string(v.row);
+    site += ',';
+    site += std::to_string(v.col);
+    site += v.interior ? ") int" : ")";
+    table.addRow({site,
                   TextTable::num(ch.sigmaT()[i] / units::MPa, 1),
                   TextTable::num(100.0 * currents[i] / spec.totalCurrent(), 2)});
   }

@@ -115,8 +115,9 @@ void ProgressReporter::report(double nowSeconds, bool force) {
 
   std::string msg = label_ + ": " + std::to_string(done);
   if (haveTotal) {
-    msg += "/" + std::to_string(total_) + " trials (" +
-           fixed1(fraction * 100.0) + "%)";
+    msg += '/';
+    msg += std::to_string(total_);
+    msg += " trials (" + fixed1(fraction * 100.0) + "%)";
   } else {
     msg += " trials";
   }

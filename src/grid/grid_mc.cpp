@@ -212,7 +212,9 @@ std::string gridMcCheckpointKey(const PowerGridModel& model,
   // v3: the wire-EM audit joined the key (and, when enabled, the trial
   // payload grows two audit values), so snapshots written with a different
   // audit mode / margin / tree decomposition must not be resumed.
-  os << "gridmc-v3;model=" << std::hex << model.structureDigest() << std::dec
+  // v4: the Woodbury capacitance system is solved by a bordered LDLᵀ
+  // instead of a per-solve LU, so samples differ in the last ulps.
+  os << "gridmc-v4;model=" << std::hex << model.structureDigest() << std::dec
      << ";gsolve=" << spdSolverKindName(model.config().gridSolver) << ','
      << orderingChoiceName(model.config().gridOrdering)
      << ";ttf=" << options.arrayTtf.mu() << ',' << options.arrayTtf.sigma()

@@ -107,7 +107,7 @@ struct GridMcOptions {
 
   /// Optional per-trial wire-EM audit (off when `wireEm.trees` is null).
   /// Joins the checkpoint key: enabling, re-marginning, or re-moding the
-  /// audit invalidates prior snapshots (gridmc-v3).
+  /// audit invalidates prior snapshots (gridmc-v4).
   GridWireEmOptions wireEm;
 };
 

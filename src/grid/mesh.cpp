@@ -18,6 +18,16 @@ std::string nodeName(char layer, Index r, Index c) {
   return std::string(1, layer) + std::to_string(r) + "_" + std::to_string(c);
 }
 
+/// "<kind><r>_<c>", built by appends: GCC 12 reports a false -Wrestrict
+/// on a short literal + std::to_string.
+std::string elementName(const char* kind, Index r, Index c) {
+  std::string name(kind);
+  name += std::to_string(r);
+  name += '_';
+  name += std::to_string(c);
+  return name;
+}
+
 }  // namespace
 
 Index MeshSpec::nodeCount() const {
@@ -57,8 +67,8 @@ Netlist buildMeshNetlist(const MeshSpec& spec) {
       const Index node = net.internNode(nodeName('a', r, c));
       if (c + 1 < spec.cols) {
         const Index right = net.internNode(nodeName('a', r, c + 1));
-        net.addResistor("Rs1_" + std::to_string(r) + "_" + std::to_string(c),
-                        node, right, spec.stripeOhms);
+        net.addResistor(elementName("Rs1_", r, c), node, right,
+                        spec.stripeOhms);
       }
       if (spec.loadAmps > 0.0) {
         // One counter-based stream per node: the load pattern is a pure
@@ -67,9 +77,7 @@ Netlist buildMeshNetlist(const MeshSpec& spec) {
                                    static_cast<std::uint64_t>(spec.cols) +
                                static_cast<std::uint64_t>(c));
         const double amps = spec.loadAmps * rng.uniform(0.5, 1.5);
-        net.addCurrentSource(
-            "I" + std::to_string(r) + "_" + std::to_string(c), node, gnd,
-            amps);
+        net.addCurrentSource(elementName("I", r, c), node, gnd, amps);
       }
     }
   }
@@ -81,19 +89,16 @@ Netlist buildMeshNetlist(const MeshSpec& spec) {
       const Index strap = net.internNode(nodeName('b', r, c));
       if (r + 1 < spec.rows) {
         const Index down = net.internNode(nodeName('b', r + 1, c));
-        net.addResistor("Rs2_" + std::to_string(r) + "_" + std::to_string(c),
-                        strap, down, spec.strapOhms);
+        net.addResistor(elementName("Rs2_", r, c), strap, down,
+                        spec.strapOhms);
       }
       const Index load = net.internNode(nodeName('a', r, c));
-      net.addResistor("Rvia_" + std::to_string(r) + "_" + std::to_string(c),
-                      load, strap, spec.viaOhms);
+      net.addResistor(elementName("Rvia_", r, c), load, strap, spec.viaOhms);
       if (r % spec.padPitch == 0) {
         const Index pad = net.internNode(nodeName('p', r, c));
-        net.addVoltageSource(
-            "V" + std::to_string(r) + "_" + std::to_string(c), pad, gnd,
-            spec.vdd);
-        net.addResistor("Rpad_" + std::to_string(r) + "_" + std::to_string(c),
-                        pad, strap, spec.padOhms);
+        net.addVoltageSource(elementName("V", r, c), pad, gnd, spec.vdd);
+        net.addResistor(elementName("Rpad_", r, c), pad, strap,
+                        spec.padOhms);
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "numerics/woodbury.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -13,6 +14,13 @@ namespace {
 /// Below this magnitude a branch's accumulated delta has cancelled: its
 /// capacitance diagonal 1/Δg would be unbounded, so it leaves the update set.
 constexpr double kCancelledDelta = 1e-300;
+
+/// aᵀv for the incidence vector a = e_i − e_j of branch (i, j), j = −1
+/// for a ground endpoint.
+double incidence(Index i, Index j, std::span<const double> v) {
+  return v[static_cast<std::size_t>(i)] -
+         (j >= 0 ? v[static_cast<std::size_t>(j)] : 0.0);
+}
 
 }  // namespace
 
@@ -29,7 +37,9 @@ WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options,
 }
 
 std::size_t IncidenceColumnCache::budgetFor(const SpdFactor& factor) {
-  return factor.factorNonZeroCount() * (sizeof(double) + sizeof(Index));
+  return std::max(
+      factor.factorNonZeroCount() * (sizeof(double) + sizeof(Index)),
+      kMinByteBudget);
 }
 
 IncidenceColumnCache::Column IncidenceColumnCache::find(Index i,
@@ -153,12 +163,50 @@ void WoodburySolver::foldIntoFactor() {
   privateFactor_ = std::move(folded);
 }
 
+void WoodburySolver::clearUpdates() {
+  branches_.clear();
+  branchIndex_.clear();
+  factoredRows_ = 0;
+}
+
 void WoodburySolver::dropBranch(std::size_t index) {
   const Branch& b = branches_[index];
   branchIndex_.erase({b.i, b.j});
   branches_.erase(branches_.begin() + static_cast<std::ptrdiff_t>(index));
   for (auto& [key, slot] : branchIndex_)
     if (slot > index) --slot;
+  for (std::size_t m = index; m < branches_.size(); ++m)
+    branches_[m].utz.erase(branches_[m].utz.begin() +
+                           static_cast<std::ptrdiff_t>(index));
+}
+
+void WoodburySolver::refactorFrom(std::size_t index) {
+  factoredRows_ = std::min(factoredRows_, index);
+  for (std::size_t m = index; m < branches_.size(); ++m) borderFactor(m);
+}
+
+void WoodburySolver::borderFactor(std::size_t m) {
+  // C_{m+1} = [[C_m, c], [cᵀ, γ]] = L·diag(p)·Lᵀ: L's new row is
+  // ℓ_l = u_l / p_l with u = L_m⁻¹ c, and the new pivot γ − Σ u_l ℓ_l.
+  Branch& b = branches_[m];
+  std::vector<double>& row = b.lower;
+  row.assign(b.utz.begin(), b.utz.begin() + static_cast<std::ptrdiff_t>(m));
+  for (std::size_t l = 0; l < m; ++l) {
+    const std::vector<double>& lrow = branches_[l].lower;
+    double u = row[l];
+    for (std::size_t q = 0; q < l; ++q) u -= lrow[q] * row[q];
+    row[l] = u;
+  }
+  double pivot = b.utz[m] + 1.0 / b.deltaG;
+  for (std::size_t l = 0; l < m; ++l) {
+    const double ell = row[l] / branches_[l].pivot;
+    pivot -= row[l] * ell;
+    row[l] = ell;
+  }
+  if (pivot == 0.0 || !std::isfinite(pivot))
+    throw NumericalError("Woodbury capacitance pivot is zero or non-finite");
+  b.pivot = pivot;
+  factoredRows_ = m + 1;
 }
 
 void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
@@ -182,20 +230,27 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
     }
     const auto key = std::make_pair(i, j);
     if (const auto it = branchIndex_.find(key); it != branchIndex_.end()) {
-      Branch& b = branches_[it->second];
+      const std::size_t index = it->second;
+      Branch& b = branches_[index];
       b.deltaG += deltaG;
       // A delta that cancels back to zero leaves the branch unchanged
       // relative to the base; order-preserving removal keeps every solve
       // identical to one that never saw the branch.
-      if (std::abs(b.deltaG) <= kCancelledDelta) dropBranch(it->second);
+      if (std::abs(b.deltaG) <= kCancelledDelta) dropBranch(index);
+      refactorFrom(index);
     } else if (std::abs(deltaG) > kCancelledDelta) {
       Branch b;
       b.i = i;
       b.j = j;
       b.deltaG = deltaG;
       b.z = incidenceColumn(i, j);
+      // Row m of Uᵀ Z: aₘᵀ z_l against every tracked column, then its own.
+      b.utz.reserve(branches_.size() + 1);
+      for (const Branch& l : branches_) b.utz.push_back(incidence(i, j, *l.z));
+      b.utz.push_back(incidence(i, j, *b.z));
       branchIndex_.emplace(key, branches_.size());
       branches_.push_back(std::move(b));
+      borderFactor(branches_.size() - 1);
     }
   } catch (const NumericalError&) {
     if (!options_.policy.enabled || !options_.policy.refactorOnWoodburyFailure)
@@ -206,8 +261,7 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
     VIADUCT_COUNTER_ADD("fault.policy.woodbury_refactors", 1);
     VIADUCT_COUNTER_ADD("woodbury.rebases", 1);
     foldIntoFactor();
-    branchIndex_.clear();
-    branches_.clear();
+    clearUpdates();
     ++rebases_;
     return;
   }
@@ -220,8 +274,7 @@ void WoodburySolver::rebase() {
   VIADUCT_SPAN("woodbury.rebase");
   VIADUCT_COUNTER_ADD("woodbury.rebases", 1);
   foldIntoFactor();
-  branches_.clear();
-  branchIndex_.clear();
+  clearUpdates();
   ++rebases_;
 }
 
@@ -231,7 +284,7 @@ void WoodburySolver::startSolve() const {
   }
   VIADUCT_COUNTER_ADD("woodbury.solves", 1);
   VIADUCT_HISTOGRAM_OBSERVE("woodbury.pending_updates", branches_.size(),
-                            obs::Buckets::linear(0, 8, 16));
+                            obs::Buckets::linear(0, 16, 17));
 }
 
 std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
@@ -249,31 +302,23 @@ std::vector<double> WoodburySolver::solveFixedRhs() const {
 std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
   const std::size_t k = branches_.size();
   if (k == 0) return x;
+  if (factoredRows_ != k)
+    throw NumericalError("Woodbury capacitance factor is singular");
 
-  // Capacitance matrix C = D⁻¹ + Uᵀ Z, with (Uᵀ Z)[m][l] = aₘᵀ z_l.
-  DenseMatrix c(k, k);
+  // y = C⁻¹ Uᵀ x: w = Uᵀ x, then L v = w, v /= pivots, Lᵀ y = v in place.
+  std::vector<double> y(k);
   for (std::size_t m = 0; m < k; ++m) {
-    VIADUCT_CHECK_MSG(std::abs(branches_[m].deltaG) > kCancelledDelta,
-                      "zero-delta branch in update set");
-    for (std::size_t l = 0; l < k; ++l) {
-      const Branch& bm = branches_[m];
-      const Branch& bl = branches_[l];
-      const std::vector<double>& zl = *bl.z;
-      double utz = zl[bm.i];
-      if (bm.j >= 0) utz -= zl[bm.j];
-      c(m, l) = utz;
-    }
-    c(m, m) += 1.0 / branches_[m].deltaG;
+    const std::vector<double>& row = branches_[m].lower;
+    double v = incidence(branches_[m].i, branches_[m].j, x);
+    for (std::size_t l = 0; l < m; ++l) v -= row[l] * y[l];
+    y[m] = v;
   }
-
-  // w = Uᵀ x.
-  std::vector<double> w(k);
-  for (std::size_t m = 0; m < k; ++m) {
-    const Branch& bm = branches_[m];
-    w[m] = x[bm.i] - (bm.j >= 0 ? x[bm.j] : 0.0);
+  for (std::size_t m = 0; m < k; ++m) y[m] /= branches_[m].pivot;
+  for (std::size_t m = k; m-- > 0;) {
+    const std::vector<double>& row = branches_[m].lower;
+    const double ym = y[m];
+    for (std::size_t l = 0; l < m; ++l) y[l] -= row[l] * ym;
   }
-
-  const std::vector<double> y = c.solve(w);
 
   // x -= Z y.
   for (std::size_t m = 0; m < k; ++m) {

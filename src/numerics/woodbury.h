@@ -6,16 +6,28 @@
 // time; each failure changes one branch conductance. With G = G0 + U D Uᵀ
 // (U columns are ±1 incidence vectors of the changed branches, D the
 // conductance deltas),
-//   G⁻¹ b = G0⁻¹ b − Z (D⁻¹ + Uᵀ Z)⁻¹ Zᵀ b,   Z = G0⁻¹ U,
+//   G⁻¹ b = G0⁻¹ b − Z C⁻¹ Uᵀ G0⁻¹ b,   Z = G0⁻¹ U,   C = D⁻¹ + Uᵀ Z,
 // so each *new* failed branch costs at most one factored solve (to extend
-// Z), where k is the number of distinct changed branches so far. A general
-// solve(b) adds one factored solve (G0⁻¹ b) plus a dense k×k solve. The
-// grid's right-hand side never changes, so it can be bound once: its base
-// solution x0 = G0⁻¹ b is computed once per base factor and solveFixedRhs()
-// costs only the dense k×k solve and x0 − Z·y — no factored solve at all.
-// When k exceeds `rebaseThreshold`, the updates are folded into G0 and the
-// matrix is re-factored numerically (symbolic analysis reused); the fold
-// re-solves x0 exactly once on the new factor.
+// Z), where k is the number of distinct changed branches so far.
+//
+// The symmetric k×k capacitance matrix C is kept with an LDLᵀ factor (no
+// pivoting) that grows by bordering: a new branch appends its row of C and
+// one forward solve, O(k²). A solve is then w = Uᵀx, two k×k triangular
+// solves and x − Z·y. Grid deltas (opens, degrades) are negative; for them
+// −C is the Schur complement of [[G0, U], [Uᵀ, −D⁻¹]], SPD whenever the
+// updated G is, so the LDLᵀ is a scaled Cholesky. A zero or non-finite
+// pivot is a NumericalError (folded, see below). A delta change on a
+// tracked branch, or its cancellation, re-borders the rows from that
+// branch on, in branch order, so the factor is the one a solver that had
+// seen the same updates directly would hold.
+//
+// The grid's right-hand side never changes, so it can be bound once: its
+// base solution x0 = G0⁻¹ b is computed once per base factor and
+// solveFixedRhs() costs only the k×k solves and x0 − Z·y — no factored
+// solve at all. When k exceeds `rebaseThreshold` (default 256; the deepest
+// PG5 trials stay below 100), the updates are folded into G0 and the matrix
+// is re-factored numerically (symbolic analysis reused); the fold re-solves
+// x0 exactly once on the new factor and empties the capacitance factor.
 //
 // Two ownership modes:
 //  - Owning (legacy): the solver copies G0 and factors it itself.
@@ -47,7 +59,6 @@
 #include <vector>
 
 #include "fault/policy.h"
-#include "numerics/dense.h"
 #include "numerics/sparse.h"
 #include "numerics/spd_factor.h"
 
@@ -67,8 +78,11 @@ class IncidenceColumnCache {
       : byteBudget_(byteBudget) {}
 
   /// The bound for a base factor: the factor's own storage,
-  /// factorNonZeroCount() × (sizeof(double) + sizeof(Index)) bytes.
+  /// factorNonZeroCount() × (sizeof(double) + sizeof(Index)) bytes, but at
+  /// least kMinByteBudget, so a sparse factor of a small grid still holds
+  /// every column its Monte Carlo opens.
   static std::size_t budgetFor(const SpdFactor& factor);
+  static constexpr std::size_t kMinByteBudget = std::size_t{4} << 20;
 
   /// The stored column of branch (i, j), or nullptr.
   Column find(Index i, Index j) const;
@@ -95,7 +109,7 @@ class WoodburySolver {
   struct Options {
     /// Fold updates into the base factorization when the number of distinct
     /// changed branches exceeds this.
-    int rebaseThreshold = 48;
+    int rebaseThreshold = 256;
     OrderingChoice ordering = OrderingChoice::kRcm;
     /// Factorization backend for the owning constructor (the shared-base
     /// constructor inherits whatever the caller built).
@@ -179,6 +193,13 @@ class WoodburySolver {
     double deltaG;  // accumulated conductance change
     /// G0⁻¹ a, a = e_i − e_j (possibly shared with the column cache).
     IncidenceColumnCache::Column z;
+    /// This branch's row m of Uᵀ Z's lower triangle: aₘᵀ z_l for l ≤ m
+    /// (C's row without the diagonal's 1/Δg).
+    std::vector<double> utz;
+    /// Row m of C = L·diag(pivots)·Lᵀ: L's entries left of the unit
+    /// diagonal, and the pivot.
+    std::vector<double> lower;
+    double pivot = 0.0;
   };
 
   /// The factor solves go through: the private clone once one exists,
@@ -188,15 +209,24 @@ class WoodburySolver {
   }
 
   void recordDelta(Index i, Index j, double deltaG);
+  /// Removes branch `index` and its row and column of Uᵀ Z.
   void dropBranch(std::size_t index);
+  /// Re-borders the capacitance factor's rows index.. in branch order.
+  void refactorFrom(std::size_t index);
+  /// Appends branch m's row to the capacitance factor (rows < m factored).
+  /// Throws NumericalError on a zero or non-finite pivot.
+  void borderFactor(std::size_t m);
   void foldIntoFactor();
+  /// Empties the update set (after a fold).
+  void clearUpdates();
   /// Branch (i, j)'s incidence column on activeFactor(): from the shared
   /// column cache while the shared base is active, else solved.
   IncidenceColumnCache::Column incidenceColumn(Index i, Index j) const;
   /// The per-solve prologue: the woodbury.solve fault site and counters.
   void startSolve() const;
   /// x − Z·C⁻¹·Uᵀx for the pending updates: turns a base-factor solution
-  /// into one of the current matrix.
+  /// into one of the current matrix. Throws NumericalError while the
+  /// capacitance factor misses rows (a rejected update left it singular).
   std::vector<double> applyUpdates(std::vector<double> x) const;
 
   Options options_;
@@ -217,6 +247,8 @@ class WoodburySolver {
 
   std::map<std::pair<Index, Index>, std::size_t> branchIndex_;
   std::vector<Branch> branches_;
+  /// Leading branches whose capacitance factor rows are current.
+  std::size_t factoredRows_ = 0;
   int rebases_ = 0;
 };
 

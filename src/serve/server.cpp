@@ -10,7 +10,6 @@
 #include "core/analyzer.h"
 #include "obs/obs.h"
 #include "spice/generator.h"
-#include "viaarray/cache.h"
 #include "viaarray/characterize.h"
 #include "viaarray/primitive_store.h"
 
@@ -113,11 +112,7 @@ std::unique_ptr<ViaductServer> ViaductServer::start(const ServerConfig& config,
 
   auto server = std::unique_ptr<ViaductServer>(new ViaductServer());
   server->config_ = config;
-  server->library_ =
-      config.cachePath.empty()
-          ? std::make_shared<ViaArrayLibrary>()
-          : std::make_shared<ViaArrayLibrary>(
-                std::make_shared<CharacterizationStore>(config.cachePath));
+  server->library_ = openViaArrayLibrary(config.cachePath);
   if (!config.primitiveStorePath.empty())
     server->primitiveStore_ =
         std::make_shared<StressPrimitiveStore>(config.primitiveStorePath);

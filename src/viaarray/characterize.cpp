@@ -546,6 +546,13 @@ Lognormal ViaArrayCharacterizer::ttfLognormal(
 ViaArrayLibrary::ViaArrayLibrary(std::shared_ptr<CharacterizationStore> store)
     : store_(std::move(store)) {}
 
+std::shared_ptr<ViaArrayLibrary> openViaArrayLibrary(
+    const std::string& cachePath) {
+  if (cachePath.empty()) return std::make_shared<ViaArrayLibrary>();
+  return std::make_shared<ViaArrayLibrary>(
+      std::make_shared<CharacterizationStore>(cachePath));
+}
+
 std::size_t ViaArrayLibrary::size() const {
   std::lock_guard lock(mutex_);
   return cache_.size();

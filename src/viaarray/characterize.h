@@ -276,4 +276,9 @@ class ViaArrayLibrary {
   std::shared_ptr<CharacterizationStore> store_;
 };
 
+/// The library behind a `--cache` path: persisted to the store at
+/// `cachePath`, or in memory only when the path is empty.
+std::shared_ptr<ViaArrayLibrary> openViaArrayLibrary(
+    const std::string& cachePath);
+
 }  // namespace viaduct

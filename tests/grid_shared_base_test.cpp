@@ -129,11 +129,30 @@ int expectSessionSolvesMatchGeneralPath(const PowerGridModel& model,
                                              [](int) {});
 }
 
+/// 21 arrays per stripe, 420 in all, on 1240 unknowns: enough arrays to
+/// cross the default rebase threshold (256 pending branches), and few
+/// enough unknowns that the column budget floor (4 MiB, 422 columns) holds
+/// every array.
+MeshSpec cacheRoomSpec() {
+  MeshSpec spec;
+  spec.rows = 20;
+  spec.cols = 41;
+  spec.viaPitch = 2;
+  spec.padPitch = 4;
+  return spec;
+}
+
+/// Distinct opens that take a session one past the default rebase
+/// threshold: the last one triggers the fold.
+constexpr int kOpensToFold = WoodburySolver::Options{}.rebaseThreshold + 1;
+/// Opens that run three past the fold.
+constexpr int kCappedOpens = kOpensToFold + 3;
+
 TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathAcrossRebase) {
-  // 55 opens exceed the default rebase threshold (48 pending branches):
-  // the fold re-solves the base solution on the private factor.
-  const PowerGridModel model(tunedMesh(smallSpec()), supernodalConfig());
-  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, 55, 13), 1);
+  // Opens past the default rebase threshold: the fold re-solves the base
+  // solution on the private factor.
+  const PowerGridModel model(tunedMesh(cacheRoomSpec()), supernodalConfig());
+  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, kCappedOpens, 13), 1);
 }
 
 TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathThroughUpdateFold) {
@@ -167,34 +186,25 @@ TEST_F(GridSharedBaseTest, SessionSolveMatchesGeneralPathWithoutSharedBase) {
   // its own base solution on that factor, through the same code path.
   PowerGridConfig off = supernodalConfig();
   off.sharedBaseFactor = false;
-  const PowerGridModel model(tunedMesh(smallSpec()), off);
-  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, 55, 23), 1);
+  const PowerGridModel model(tunedMesh(cacheRoomSpec()), off);
+  EXPECT_EQ(expectSessionSolvesMatchGeneralPath(model, kCappedOpens, 23), 1);
 }
 
-/// 31 arrays per stripe, and an up-looking+RCM base factor (the CLI
-/// default) whose storage bound holds 56 of the mesh's columns.
-MeshSpec cacheRoomSpec() {
-  MeshSpec spec;
-  spec.rows = 30;
-  spec.cols = 61;
-  spec.viaPitch = 2;
-  spec.padPitch = 4;
-  return spec;
-}
-
-/// A criterion no opening sequence reaches, so every trial runs to the cap
-/// of 52 opens and crosses the default rebase threshold (48) once: opens
-/// 1–49 run on the shared base (the 49th triggers the fold), 50–52 on the
-/// trial's private factor. The narrow TTF spread makes trials open mostly
-/// the same arrays, the case the column cache serves.
+/// A criterion no opening sequence reaches (a stripe whose arrays have all
+/// opened still hangs on their residual conductance, at a finite drop), so
+/// every trial runs to the cap and crosses the default rebase threshold
+/// once: opens 1–kOpensToFold run on the shared base (the last of them
+/// triggers the fold), the other three on the trial's private factor. The
+/// narrow TTF spread makes trials open mostly the same arrays, the case the
+/// column cache serves.
 GridMcOptions cappedMcOptions(int trials, int threads) {
   GridMcOptions opts;
   opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.01);
   opts.referenceCurrentAmps = 0.01;
   opts.trials = trials;
   opts.seed = 5;
-  opts.systemCriterion.irDropFraction = 0.999;
-  opts.maxFailuresPerTrial = 52;
+  opts.systemCriterion.irDropFraction = 1e30;
+  opts.maxFailuresPerTrial = kCappedOpens;
   opts.parallelism.threads = threads;
   return opts;
 }
@@ -215,8 +225,7 @@ TEST_F(GridSharedBaseTest, GridMcIssuesOneFactoredSolvePerFailure) {
   auto& misses = registry.counter("woodbury.column_cache_misses");
   const Netlist net = tunedMesh(cacheRoomSpec());
   constexpr std::uint64_t kTrials = 4;
-  constexpr std::uint64_t kSharedOpens = 49;  // per trial, fold included
-  constexpr std::uint64_t kPostOpens = 52 - kSharedOpens;
+  constexpr std::uint64_t kPostOpens = kCappedOpens - kOpensToFold;
 
   std::uint64_t distinctAtOneThread = 0;
   for (const int threads : {1, 4}) {
@@ -233,7 +242,7 @@ TEST_F(GridSharedBaseTest, GridMcIssuesOneFactoredSolvePerFailure) {
 
     const std::uint64_t f = failures.value() - f0;
     const std::uint64_t r = rebases.value() - r0;
-    ASSERT_EQ(f, kTrials * 52u);
+    ASSERT_EQ(f, kTrials * kCappedOpens);
     ASSERT_EQ(r, kTrials);
     // Every shared-base open asked the cache once; the cache kept room,
     // so it stored every distinct array: D = its entry count.
@@ -349,12 +358,18 @@ TEST_F(GridSharedBaseTest, EveryCachedColumnIsBitIdenticalToADenseBaseSolve) {
 }
 
 TEST_F(GridSharedBaseTest, FullColumnCacheKeepsSamplesAndItsBound) {
-  // The cache holds at most the base factor's own storage. On the 20x20
-  // mesh that is 18 columns, so one long Monte Carlo fills it; a second
-  // run on the full cache (hits on what it holds, unstored solves for the
-  // rest) must give the samples of the same run on a fresh model whose
-  // cache still has room, and of a model with no cache at all.
-  const Netlist net = tunedMesh(smallSpec());
+  // The cache holds at most max(the base factor's own storage, 4 MiB). On
+  // a 40x40 mesh with an array at every crossing (3200 unknowns) the floor
+  // binds: 163 columns, so one long Monte Carlo fills it. A second run on
+  // the full cache (hits on what it holds, unstored solves for the rest)
+  // must give the samples of the same run on a fresh model whose cache
+  // still has room, and of a model with no cache at all.
+  MeshSpec spec;
+  spec.rows = 40;
+  spec.cols = 40;
+  spec.viaPitch = 1;
+  spec.padPitch = 8;
+  const Netlist net = tunedMesh(spec);
   GridMcOptions opts;
   opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
   opts.referenceCurrentAmps = 0.01;
@@ -367,8 +382,10 @@ TEST_F(GridSharedBaseTest, FullColumnCacheKeepsSamplesAndItsBound) {
   const std::size_t columnBytes =
       static_cast<std::size_t>(fresh.unknownCount()) * sizeof(double);
   EXPECT_EQ(freshCache.byteBudget(),
-            fresh.baseFactor()->factorNonZeroCount() *
-                (sizeof(double) + sizeof(Index)));
+            std::max(fresh.baseFactor()->factorNonZeroCount() *
+                         (sizeof(double) + sizeof(Index)),
+                     IncidenceColumnCache::kMinByteBudget));
+  EXPECT_EQ(freshCache.byteBudget(), IncidenceColumnCache::kMinByteBudget);
   const auto withRoom = runGridMonteCarlo(fresh, opts);
   ASSERT_EQ(withRoom.ttfSamples.size(), 4u);
   EXPECT_LE(freshCache.bytes() + columnBytes, freshCache.byteBudget())
@@ -378,7 +395,7 @@ TEST_F(GridSharedBaseTest, FullColumnCacheKeepsSamplesAndItsBound) {
   const auto& cache = *filled.columnCache();
   GridMcOptions filling = opts;
   filling.seed = 22;
-  filling.trials = 24;
+  filling.trials = 48;
   filling.maxFailuresPerTrial = 12;
   (void)runGridMonteCarlo(filled, filling);
   ASSERT_GT(cache.bytes() + columnBytes, cache.byteBudget())

@@ -295,8 +295,9 @@ TEST_F(CgSolverHealth, SizeClassHistogramsBinBySystemSize) {
       EXPECT_EQ(h.count, 1u);
     }
     // A 36-unknown solve must not land in the other size classes.
-    if (name == "cg.iterations.medium" || name == "cg.iterations.large")
+    if (name == "cg.iterations.medium" || name == "cg.iterations.large") {
       EXPECT_EQ(h.count, 0u);
+    }
   }
   EXPECT_TRUE(sawSmall);
 }

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <tuple>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "fault/fault.h"
 #include "numerics/cholesky.h"
+#include "numerics/dense.h"
 #include "obs/obs.h"
 
 namespace viaduct {
@@ -225,6 +229,210 @@ TEST(WoodburySolver, FactoredSolveBudget) {
   EXPECT_EQ(solves.value() - before, 5u);
 }
 
+/// The capacitance arithmetic the bordered factor replaced, kept as its
+/// oracle: it mirrors a solver's pending branches in insertion order, and
+/// every solve rebuilds the dense C = D⁻¹ + Uᵀ Z and LU-solves it (partial
+/// pivoting) on a fresh factor of the matrix of the last fold.
+class DenseCapacitanceOracle {
+ public:
+  explicit DenseCapacitanceOracle(const CsrMatrix& base) { rebase(base); }
+
+  void rebase(const CsrMatrix& base) {
+    factor_ = buildSpdFactor(base, SpdSolverKind::kUplooking,
+                             OrderingChoice::kRcm);
+    pending_.clear();
+  }
+
+  /// Same bookkeeping as the solver: accumulate, drop on cancellation,
+  /// ignore a zero delta on a new branch.
+  void update(Index i, Index j, double delta) {
+    const auto it =
+        std::find_if(pending_.begin(), pending_.end(),
+                     [&](const Pending& p) { return p.i == i && p.j == j; });
+    if (it != pending_.end()) {
+      it->delta += delta;
+      if (std::abs(it->delta) <= 1e-300) pending_.erase(it);
+      return;
+    }
+    if (std::abs(delta) <= 1e-300) return;
+    std::vector<double> a(static_cast<std::size_t>(factor_->size()), 0.0);
+    a[static_cast<std::size_t>(i)] = 1.0;
+    if (j >= 0) a[static_cast<std::size_t>(j)] = -1.0;
+    pending_.push_back({i, j, delta, factor_->solve(a)});
+  }
+
+  std::size_t pendingCount() const { return pending_.size(); }
+  /// The pending branch at `slot` and its accumulated delta.
+  std::tuple<Index, Index, double> branch(std::size_t slot) const {
+    const Pending& p = pending_[slot];
+    return {p.i, p.j, p.delta};
+  }
+
+  std::vector<double> solve(std::span<const double> b) const {
+    std::vector<double> x = factor_->solve(b);
+    const std::size_t k = pending_.size();
+    if (k == 0) return x;
+    auto at = [](const Pending& p, const std::vector<double>& v) {
+      return v[static_cast<std::size_t>(p.i)] -
+             (p.j >= 0 ? v[static_cast<std::size_t>(p.j)] : 0.0);
+    };
+    DenseMatrix c(k, k);
+    std::vector<double> w(k);
+    for (std::size_t m = 0; m < k; ++m) {
+      for (std::size_t l = 0; l < k; ++l)
+        c(m, l) = at(pending_[m], pending_[l].z);
+      c(m, m) += 1.0 / pending_[m].delta;
+      w[m] = at(pending_[m], x);
+    }
+    const std::vector<double> y = c.solve(w);
+    for (std::size_t m = 0; m < k; ++m)
+      for (std::size_t r = 0; r < x.size(); ++r)
+        x[r] -= pending_[m].z[r] * y[m];
+    return x;
+  }
+
+ private:
+  struct Pending {
+    Index i;
+    Index j;
+    double delta;
+    std::vector<double> z;
+  };
+  std::unique_ptr<SpdFactor> factor_;
+  std::vector<Pending> pending_;
+};
+
+TEST(WoodburySolver, BorderedFactorMatchesDenseCapacitanceLu) {
+  // Random sequences on a 20×20 grid, up to 200 pending branches: new
+  // branches with mixed-sign deltas (edges and ground ties), repeated
+  // updates of a pending branch, exact cancellations, and two injected
+  // update rejections (each folds into a private factor). After every
+  // update the solver agrees with the dense-LU oracle to 1e-12 relative,
+  // and its fixed-rhs path with its general one bit for bit.
+  constexpr Index kSide = 20;
+  constexpr Index kNodes = kSide * kSide;
+  constexpr std::size_t kMaxPending = 200;
+  const CsrMatrix g = gridConductance(kSide, kSide);
+  std::vector<std::pair<Index, Index>> branches;
+  for (Index node = 0; node < kNodes; ++node) {
+    if ((node + 1) % kSide != 0) branches.emplace_back(node, node + 1);
+    if (node + kSide < kNodes) branches.emplace_back(node, node + kSide);
+    if (node % 7 == 0) branches.emplace_back(node, -1);
+  }
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    auto rhs = std::make_shared<std::vector<double>>(kNodes);
+    for (auto& v : *rhs) v = rng.uniform(-1.0, 1.0);
+    WoodburySolver w(g, WoodburySolver::Options{}, rhs);
+    DenseCapacitanceOracle oracle(g);
+    std::size_t peak = 0;
+    int cancellations = 0;
+    int repeats = 0;
+    for (int step = 0; step < 400; ++step) {
+      const double roll = rng.uniform(0.0, 1.0);
+      const std::size_t pending = oracle.pendingCount();
+      Index i = 0;
+      Index j = 0;
+      double delta = 0.0;
+      const bool full = pending >= kMaxPending;
+      if (pending > 0 && (roll < 0.08 || (roll < 0.3 && full))) {
+        double accumulated = 0.0;
+        std::tie(i, j, accumulated) = oracle.branch(rng.uniformInt(pending));
+        delta = -accumulated;
+        ++cancellations;
+      } else {
+        if (pending > 0 && (roll < 0.22 || full)) {
+          std::tie(i, j, std::ignore) = oracle.branch(rng.uniformInt(pending));
+          ++repeats;
+        } else {
+          std::tie(i, j) = branches[rng.uniformInt(branches.size())];
+        }
+        // Edges move within ±60 % of their conductance; ground ties are
+        // weakened at most by half or strengthened.
+        const CsrMatrix& current = w.currentMatrix();
+        if (j >= 0) {
+          delta = rng.uniform(-0.6, 0.6) * -current.at(i, j);
+        } else {
+          // The tie is the row sum.
+          const auto ptr = current.rowPointers();
+          const auto values = current.values();
+          double tie = 0.0;
+          for (Index e = ptr[i]; e < ptr[i + 1]; ++e)
+            tie += values[static_cast<std::size_t>(e)];
+          delta = rng.uniform(-0.5, 2.0) * tie;
+        }
+      }
+      // Two rejected updates late in the sequence, each a fold.
+      if (step == 300 || step == 360)
+        fault::Registry::instance().arm("woodbury.update", {.nth = 1});
+      const int folds = w.rebaseCount();
+      w.updateBranch(i, j, delta);
+      fault::Registry::instance().disarmAll();
+      if (w.rebaseCount() != folds) {
+        oracle.rebase(w.currentMatrix());
+      } else {
+        oracle.update(i, j, delta);
+      }
+      ASSERT_EQ(static_cast<std::size_t>(w.pendingUpdateCount()),
+                oracle.pendingCount())
+          << "seed " << seed << " step " << step;
+      peak = std::max(peak, oracle.pendingCount());
+
+      const std::vector<double> x = w.solveFixedRhs();
+      ASSERT_EQ(x, w.solve(*rhs)) << "seed " << seed << " step " << step;
+      const std::vector<double> ref = oracle.solve(*rhs);
+      double err = 0.0;
+      double scale = 0.0;
+      for (std::size_t r = 0; r < ref.size(); ++r) {
+        err = std::max(err, std::abs(x[r] - ref[r]));
+        scale = std::max(scale, std::abs(ref[r]));
+      }
+      ASSERT_LE(err, 1e-12 * scale) << "seed " << seed << " step " << step;
+    }
+    EXPECT_GE(peak, 150u) << "seed " << seed;
+    EXPECT_EQ(w.rebaseCount(), 2) << "seed " << seed;
+    EXPECT_GT(cancellations, 0) << "seed " << seed;
+    EXPECT_GT(repeats, 0) << "seed " << seed;
+  }
+}
+
+TEST(WoodburySolver, ZeroCapacitancePivotFolds) {
+  // G0 = [[4, −2], [−2, 2]]: node 0 tied to ground by 2, branch (0, 1) of
+  // conductance 2, so its column z = G0⁻¹(e_0 − e_1) = (0, −0.5) is exact.
+  // Halving the branch, grounding node 1, then removing the branch's other
+  // half re-borders row 0 with pivot aᵀz + 1/Δg = 0.5 − 0.5 = 0: a
+  // singular leading minor, although the updated matrix [[2, 0], [0, 1]]
+  // is SPD. The policy folds it; without the policy the update throws and
+  // so does every solve until a fold.
+  TripletMatrix t(2, 2);
+  t.add(0, 0, 2.0);
+  t.stampConductance(0, 1, 2.0);
+  const CsrMatrix g = CsrMatrix::fromTriplets(t);
+  const std::vector<double> b = {1.0, 1.0};
+  for (const bool fold : {true, false}) {
+    WoodburySolver::Options opts;
+    opts.ordering = OrderingChoice::kNatural;
+    opts.policy.enabled = fold;
+    WoodburySolver w(g, opts);
+    w.updateBranch(0, 1, -1.0);
+    w.updateBranch(1, -1, 1.0);
+    ASSERT_EQ(w.pendingUpdateCount(), 2);
+    if (fold) {
+      w.updateBranch(0, 1, -1.0);
+      EXPECT_EQ(w.pendingUpdateCount(), 0);
+    } else {
+      EXPECT_THROW(w.updateBranch(0, 1, -1.0), NumericalError);
+      EXPECT_THROW(w.solve(b), NumericalError);
+      w.rebase();
+    }
+    EXPECT_EQ(w.rebaseCount(), 1);
+    const auto x = w.solve(b);
+    EXPECT_NEAR(x[0], 0.5, 1e-15);
+    EXPECT_NEAR(x[1], 1.0, 1e-15);
+  }
+}
+
 TEST(WoodburySolver, ColumnCacheServesLaterSolversWithoutASolve) {
   // Three solvers on one shared base replay the same updates: one filling
   // a roomy cache, one reading it back (no factored solve until its fold),
@@ -242,7 +450,9 @@ TEST(WoodburySolver, ColumnCacheServesLaterSolversWithoutASolve) {
       IncidenceColumnCache::budgetFor(*factor));
   auto full = std::make_shared<IncidenceColumnCache>(0);
   EXPECT_EQ(roomy->byteBudget(),
-            factor->factorNonZeroCount() * (sizeof(double) + sizeof(Index)));
+            std::max(factor->factorNonZeroCount() *
+                         (sizeof(double) + sizeof(Index)),
+                     IncidenceColumnCache::kMinByteBudget));
   auto shared = [&](std::shared_ptr<IncidenceColumnCache> columns) {
     WoodburySolver::Options opts;
     opts.rebaseThreshold = 4;

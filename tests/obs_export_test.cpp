@@ -175,8 +175,9 @@ void validateOpenMetrics(const std::string& text) {
     } else if (sample.size() > 6 &&
                sample.compare(sample.size() - 6, 6, "_count") == 0) {
       countValue = std::stod(value);
-      if (bucketCount >= 0.0)
+      if (bucketCount >= 0.0) {
         EXPECT_DOUBLE_EQ(bucketCount, countValue) << sample;
+      }
       bucketCount = -1.0;
     }
   }

@@ -72,7 +72,7 @@ TEST(ParserProperty, ValuesSurviveRoundTripExactly) {
   const Index a = n.internNode("a");
   const Index b = n.internNode("b");
   for (int i = 0; i < 200; ++i) {
-    n.addResistor("R" + std::to_string(i), a, b,
+    n.addResistor(std::string("R").append(std::to_string(i)), a, b,
                   rng.lognormal(0.0, 3.0));  // spans many decades
   }
   const Netlist re = parseSpiceString(writeSpiceString(n));

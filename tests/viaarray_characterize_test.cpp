@@ -100,8 +100,9 @@ TEST(Characterizer, TracesHaveFullFailureSequences) {
     // Times are nondecreasing; resistances increase; last is open.
     for (std::size_t m = 1; m < t.failureTimes.size(); ++m) {
       EXPECT_GE(t.failureTimes[m], t.failureTimes[m - 1]);
-      if (m + 1 < t.resistanceAfter.size())
+      if (m + 1 < t.resistanceAfter.size()) {
         EXPECT_GT(t.resistanceAfter[m], t.resistanceAfter[m - 1]);
+      }
     }
     EXPECT_TRUE(std::isinf(t.resistanceAfter.back()));
   }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification for viaduct, plus the fault/recovery sweeps:
 #
-#   1. release build + full ctest (the tier-1 gate from ROADMAP.md);
+#   1. release build with warnings as errors (VIADUCT_WERROR=ON) + full
+#      ctest (the tier-1 gate from ROADMAP.md);
 #   2. the fault-labelled recovery tests (ctest -L fault);
 #   3. the checkpoint-labelled crash-safety/resume tests (ctest -L checkpoint);
 #   4. a thread-sanitized build running the tsan-labelled set (includes the
@@ -66,8 +67,8 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "=== [1/13] tier-1: configure + build + full test suite ==="
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+echo "=== [1/13] tier-1: configure + -Werror build + full test suite ==="
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DVIADUCT_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

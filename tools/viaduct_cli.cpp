@@ -43,7 +43,6 @@
 #include "spice/generator.h"
 #include "spice/parser.h"
 #include "spice/writer.h"
-#include "viaarray/cache.h"
 #include "viaarray/primitive_store.h"
 
 using namespace viaduct;
@@ -68,13 +67,6 @@ FeaPreconditionerKind feaPrecondFlag(const std::string& name) {
     throw PreconditionError("unknown --fea-precond '" + name +
                             "' (mg, ic0, or bj)");
   return *kind;
-}
-
-/// A characterization library, persisted to `cachePath` unless it is empty.
-std::shared_ptr<ViaArrayLibrary> libraryFlag(const std::string& cachePath) {
-  if (cachePath.empty()) return std::make_shared<ViaArrayLibrary>();
-  return std::make_shared<ViaArrayLibrary>(
-      std::make_shared<CharacterizationStore>(cachePath));
 }
 
 int cmdGenerate(int argc, const char* const* argv) {
@@ -158,7 +150,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
                   "wire-EM verdict mode: steady|transient|hybrid "
                   "(steady = linear-time closed form; hybrid = steady "
                   "filter + transient confirmation of the mortal minority). "
-                  "Joins the grid-MC checkpoint key (gridmc-v3)");
+                  "Joins the grid-MC checkpoint key (gridmc-v4)");
   flags.addDouble("wire-margin-mpa", &wireMarginMpa,
                   "wire stress margin sigma_C - sigma_T - sigma_pkg [MPa]");
   if (!flags.parse(argc, argv)) return 0;
@@ -184,7 +176,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.emMode = parseSignoffMode(emMode);
   config.wireStressMarginPa = wireMarginMpa * units::MPa;
 
-  auto library = libraryFlag(cachePath);
+  auto library = openViaArrayLibrary(cachePath);
   PowerGridEmAnalyzer analyzer(loadGrid(netlistPath, preset), config,
                                library);
 
@@ -276,7 +268,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
   if (resume && checkpointPath.empty())
     throw PreconditionError("--resume needs --checkpoint <path>");
 
-  auto ch = libraryFlag(cachePath)->get(spec);
+  auto ch = openViaArrayLibrary(cachePath)->get(spec);
   const auto critParsed = ViaArrayFailureCriterion::parse(criterion);
   if (!critParsed)
     throw PreconditionError("bad --criterion '" + criterion +
