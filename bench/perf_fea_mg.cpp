@@ -13,13 +13,17 @@
 //      just-populated store performs ZERO FEA solves and reproduces the
 //      cold run's raw stress bit-for-bit;
 //   4. thread invariance: the multigrid displacement field at 2 threads is
-//      bit-identical to the 1-thread one.
+//      bit-identical to the 1-thread one;
+//   5. row kernels: where the CPU has AVX2, the plain and AVX2 stencil rows
+//      give bit-identical fine-level applies and V-cycles.
 //
 // It also reports, ungated, the fine-level stencil sweep's cost per node at
-// 1 thread and the share of nodes the sweep covers with vectorized
-// full-width runs (NodeStencilOperator::blockedFraction).
+// 1 thread for each row kernel, the kernel production runs, the multigrid
+// set-up time at 1 thread, and the share of nodes the sweep covers with
+// vectorized full-width runs (NodeStencilOperator::blockedFraction).
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -98,38 +102,81 @@ double maxRelDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return worst;
 }
 
+const char* kernelName(StencilKernel kernel) {
+  return kernel == StencilKernel::kAvx2 ? "avx2" : "plain";
+}
+
 struct StencilSample {
-  double nsPerNode = 0.0;
+  double plainNsPerNode = 0.0;
+  double avx2NsPerNode = 0.0;  // 0 when the CPU has no AVX2
   double blockedFraction = 0.0;
+  double setupMs = 0.0;  // best VoxelStressMultigrid construction
+  bool kernelsAgree = true;
 };
 
-/// Best-of-`repeats` time of one fine-level stencil apply at 1 thread, on
-/// the operator the multigrid solve itself sweeps.
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// At 1 thread, on the operator the multigrid solve itself sweeps: the
+/// best-of-`repeats` set-up time, the best time of one fine-level stencil
+/// apply under each row kernel, and whether the kernels give the same bits
+/// for an apply and a V-cycle.
 StencilSample timeFineStencil(const BuiltStructure& built, int repeats) {
   ThermoSolverOptions opts;
   opts.preconditioner = FeaPreconditionerKind::kMultigrid;
   opts.parallelism.threads = 1;
   const ThermoSolver solver(built.grid, opts);
   ThreadPool pool(1);
-  const VoxelStressMultigrid mg(built.grid, solver.constrainedMask(),
-                                solver.elementOperators(), opts.multigrid,
-                                &pool);
-  const NodeStencilOperator& op = mg.fineOperator();
-  const auto dofs = static_cast<std::size_t>(op.dofCount());
-  std::vector<double> x(dofs), y(dofs);
-  for (std::size_t i = 0; i < dofs; ++i)
-    x[i] = 1e-9 * static_cast<double>(i % 17) - 8e-9;
-  constexpr int kAppliesPerRepeat = 20;
-  double best = std::numeric_limits<double>::infinity();
+  StencilSample sample;
+  sample.setupMs = std::numeric_limits<double>::infinity();
+  std::unique_ptr<VoxelStressMultigrid> mg;
   for (int r = 0; r < std::max(repeats, 3); ++r) {
     const auto start = std::chrono::steady_clock::now();
-    for (int a = 0; a < kAppliesPerRepeat; ++a) op.apply(x, y);
-    const std::chrono::duration<double> dt =
+    mg = std::make_unique<VoxelStressMultigrid>(
+        built.grid, solver.constrainedMask(), solver.elementOperators(),
+        opts.multigrid, &pool);
+    const std::chrono::duration<double, std::milli> dt =
         std::chrono::steady_clock::now() - start;
-    best = std::min(best, dt.count() / kAppliesPerRepeat);
+    sample.setupMs = std::min(sample.setupMs, dt.count());
   }
-  return {.nsPerNode = best * 1e9 / static_cast<double>(dofs / 3),
-          .blockedFraction = op.blockedFraction()};
+  const NodeStencilOperator& op = mg->fineOperator();
+  sample.blockedFraction = op.blockedFraction();
+  const auto dofs = static_cast<std::size_t>(op.dofCount());
+  std::vector<double> x(dofs), r(dofs);
+  for (std::size_t i = 0; i < dofs; ++i) {
+    x[i] = 1e-9 * static_cast<double>(i % 17) - 8e-9;
+    r[i] = solver.constrainedMask()[i] ? 0.0
+                                       : static_cast<double>(i % 13) - 6.0;
+  }
+
+  // Time one kernel; its apply and V-cycle outputs go to `out`.
+  constexpr int kAppliesPerRepeat = 20;
+  const auto run = [&](StencilKernel kernel,
+                       std::vector<std::vector<double>>& out) {
+    mg->setStencilKernelForTesting(kernel);
+    std::vector<double> y(dofs), z(dofs, 0.0);
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < std::max(repeats, 3); ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int a = 0; a < kAppliesPerRepeat; ++a) op.apply(x, y);
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - start;
+      best = std::min(best, dt.count() / kAppliesPerRepeat);
+    }
+    mg->apply(r, z);
+    out = {y, z};
+    return best * 1e9 / static_cast<double>(dofs / 3);
+  };
+  std::vector<std::vector<double>> plain, avx2;
+  sample.plainNsPerNode = run(StencilKernel::kPlain, plain);
+  if (bestStencilKernel() == StencilKernel::kAvx2) {
+    sample.avx2NsPerNode = run(StencilKernel::kAvx2, avx2);
+    sample.kernelsAgree =
+        sameBits(plain[0], avx2[0]) && sameBits(plain[1], avx2[1]);
+  }
+  return sample;
 }
 
 std::int64_t feaSolveCount() {
@@ -186,9 +233,17 @@ int main(int argc, char** argv) {
             << " to 1 thread\n";
 
   const StencilSample stencil = timeFineStencil(built, repeats);
-  std::cout << "  fine stencil apply " << stencil.nsPerNode
-            << " ns/node (1 thread), " << 100.0 * stencil.blockedFraction
-            << "% of nodes in full-width runs\n";
+  std::cout << "  fine stencil apply (1 thread): plain "
+            << stencil.plainNsPerNode << " ns/node, avx2 ";
+  if (stencil.avx2NsPerNode > 0.0)
+    std::cout << stencil.avx2NsPerNode << " ns/node, "
+              << (stencil.kernelsAgree ? "bit-identical" : "DIFFER");
+  else
+    std::cout << "n/a (no AVX2)";
+  std::cout << "; production kernel " << kernelName(bestStencilKernel())
+            << ", " << 100.0 * stencil.blockedFraction
+            << "% of nodes in full-width runs\n"
+            << "  mg set-up " << stencil.setupMs << " ms (1 thread)\n";
 
   const double speedup = ic0.seconds / mg.seconds;
   const double parity = maxRelDiff(mg.viaPeaks, ic0.viaPeaks);
@@ -240,7 +295,16 @@ int main(int argc, char** argv) {
      << (warmBitIdentical ? "true" : "false")
      << ",\n  \"mg_bit_identical_1_2_threads\": "
      << (mgThreadBitIdentical ? "true" : "false")
-     << ",\n  \"stencil_ns_per_node\": " << stencil.nsPerNode
+     << ",\n  \"stencil_kernel\": \"" << kernelName(bestStencilKernel())
+     << "\",\n  \"stencil_ns_per_node\": {\"plain\": "
+     << stencil.plainNsPerNode << ", \"avx2\": ";
+  if (stencil.avx2NsPerNode > 0.0)
+    os << stencil.avx2NsPerNode;
+  else
+    os << "null";
+  os << "},\n  \"stencil_kernels_bit_identical\": "
+     << (stencil.kernelsAgree ? "true" : "false")
+     << ",\n  \"mg_setup_ms\": " << stencil.setupMs
      << ",\n  \"blocked_fraction\": " << stencil.blockedFraction
      << ",\n  \"hardware_concurrency\": "
      << ThreadPool::hardwareConcurrency() << "\n}\n";
@@ -268,6 +332,10 @@ int main(int argc, char** argv) {
   }
   if (!mgThreadBitIdentical) {
     std::cerr << "FAIL: mg displacement differs between 1 and 2 threads\n";
+    ok = false;
+  }
+  if (!stencil.kernelsAgree) {
+    std::cerr << "FAIL: plain and AVX2 stencil rows give different bits\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -21,28 +21,62 @@ constexpr std::int64_t kDofGrain = 3 * kNodeGrain;
 constexpr int kPowerIterations = 10;
 
 struct AxisTransfer {
-  // Per fine axis node: the coarse cell it falls in and the linear weight
-  // toward that cell's high node. Aligned nodes carry weight exactly 0 or 1
-  // because the coarse node coordinates are copies of fine ones.
-  std::vector<Index> c;
-  std::vector<double> w;
+  // Per fine axis node (CSR over `ptr`): the nonzero linear factors of the
+  // coarse cell it falls in, low node (1 − w) before high node (w), with
+  // the coarse node's stride-scaled index along this axis, so a term's
+  // coarse node is the sum of its three axis offsets. Aligned nodes keep a
+  // single factor of exactly 1 because the coarse node coordinates are
+  // copies of fine ones.
+  std::vector<Index> ptr;
+  std::vector<Index> offset;
+  std::vector<double> factor;
 };
 
 AxisTransfer buildAxisTransfer(Index fineCells, Index coarseCells,
                                const std::vector<double>& fineCoord,
-                               const std::vector<double>& coarseCoord) {
+                               const std::vector<double>& coarseCoord,
+                               Index coarseStride) {
   AxisTransfer t;
-  t.c.resize(static_cast<std::size_t>(fineCells) + 1);
-  t.w.resize(static_cast<std::size_t>(fineCells) + 1);
+  t.ptr.reserve(static_cast<std::size_t>(fineCells) + 2);
+  t.ptr.push_back(0);
   for (Index i = 0; i <= fineCells; ++i) {
     const Index c = std::min<Index>(i / 2, coarseCells - 1);
     const double x0 = coarseCoord[static_cast<std::size_t>(c)];
     const double x1 = coarseCoord[static_cast<std::size_t>(c) + 1];
-    t.c[static_cast<std::size_t>(i)] = c;
-    t.w[static_cast<std::size_t>(i)] =
+    const double w =
         (fineCoord[static_cast<std::size_t>(i)] - x0) / (x1 - x0);
+    for (int d = 0; d < 2; ++d) {
+      const double f = d ? w : 1.0 - w;
+      if (f == 0.0) continue;
+      t.offset.push_back((c + d) * coarseStride);
+      t.factor.push_back(f);
+    }
+    t.ptr.push_back(static_cast<Index>(t.factor.size()));
   }
   return t;
+}
+
+/// Calls fn(cn, w) for every trilinear term of fine node (I, J, K): the
+/// coarse node and its weight (fx·fy)·fz, in (z, y, x) term order. Terms
+/// with a zero factor, whose weight is zero, are absent.
+template <typename Fn>
+[[gnu::always_inline]] inline void forEachTransferTerm(const AxisTransfer& tx,
+                                                       const AxisTransfer& ty,
+                                                       const AxisTransfer& tz,
+                                                       Index I, Index J,
+                                                       Index K, Fn&& fn) {
+  for (Index kz = tz.ptr[static_cast<std::size_t>(K)];
+       kz < tz.ptr[static_cast<std::size_t>(K) + 1]; ++kz)
+    for (Index jy = ty.ptr[static_cast<std::size_t>(J)];
+         jy < ty.ptr[static_cast<std::size_t>(J) + 1]; ++jy)
+      for (Index ix = tx.ptr[static_cast<std::size_t>(I)];
+           ix < tx.ptr[static_cast<std::size_t>(I) + 1]; ++ix)
+        fn(tx.offset[static_cast<std::size_t>(ix)] +
+               ty.offset[static_cast<std::size_t>(jy)] +
+               tz.offset[static_cast<std::size_t>(kz)],
+           tx.factor[static_cast<std::size_t>(ix)] *
+               ty.factor[static_cast<std::size_t>(jy)] *
+               tz.factor[static_cast<std::size_t>(kz)]);
 }
 
 }  // namespace
@@ -72,11 +106,12 @@ struct VoxelStressMultigrid::Level {
   // [λmax/eigRatio, safety·λmax].
   double lambdaMax = 1.0;
 
-  // Transfer to the NEXT (coarser) level. Prolongation reads the per-axis
-  // maps directly; restriction uses the reverse lists (CSR over coarse
-  // nodes) so the transpose sweep gathers per coarse node — race-free and
-  // bit-identical for any pool size.
+  // Transfer to the NEXT (coarser) level. Prolongation walks fine rows
+  // over the per-axis factor lists; restriction uses the reverse lists
+  // (CSR over coarse nodes) so the transpose sweep gathers per coarse
+  // node — race-free and bit-identical for any pool size.
   AxisTransfer tx, ty, tz;
+  std::int64_t rowGrain = 1;           // fine x-rows per prolongation chunk
   std::vector<Index> restrictPtr;      // coarseNodes + 1
   std::vector<Index> restrictFine;     // fine node indices
   std::vector<double> restrictWeight;  // matching trilinear weights
@@ -97,6 +132,7 @@ VoxelStressMultigrid::VoxelStressMultigrid(
     const MultigridOptions& options, ThreadPool* pool)
     : options_(options), pool_(pool) {
   VIADUCT_SPAN("fea.mg_setup");
+  VIADUCT_REQUIRE(pool_ != nullptr);
   VIADUCT_REQUIRE(options_.preSmooth >= 1 && options_.postSmooth >= 1 &&
                   options_.coarsePreSmooth >= 1 &&
                   options_.coarsePostSmooth >= 1 &&
@@ -117,6 +153,12 @@ const NodeStencilOperator& VoxelStressMultigrid::levelOperator(
     int level) const {
   VIADUCT_REQUIRE(level >= 0 && (level == 0 || level + 1 < levelCount()));
   return levels_[static_cast<std::size_t>(level)]->op;
+}
+
+void VoxelStressMultigrid::setStencilKernelForTesting(StencilKernel kernel) {
+  for (std::size_t l = 0; l < levels_.size(); ++l)
+    if (l == 0 || l + 1 < levels_.size())
+      levels_[l]->op.setKernelForTesting(kernel);
 }
 
 namespace {
@@ -185,19 +227,6 @@ Hex8Operators galerkinCompositeOperator(
   return comp;
 }
 
-/// z = D⁻¹ r with the level's inverted nodal blocks.
-void applyBlockInverse(const VoxelStressMultigrid::Level& lvl,
-                       std::span<const double> r, std::span<double> z,
-                       ThreadPool* pool) {
-  parallelFor(pool, 0, lvl.nodes, kNodeGrain, [&](std::int64_t n) {
-    const double* m = &lvl.blockInv[static_cast<std::size_t>(n) * 9];
-    const double* rn = &r[static_cast<std::size_t>(n) * 3];
-    double* zn = &z[static_cast<std::size_t>(n) * 3];
-    for (int p = 0; p < 3; ++p)
-      zn[p] = m[p * 3] * rn[0] + m[p * 3 + 1] * rn[1] + m[p * 3 + 2] * rn[2];
-  });
-}
-
 /// Assembles, inverts and stores the nodal 3×3 diagonal blocks of a level
 /// (constrained rows/cols replaced by identity before inversion) — the same
 /// construction as the fine solver's block-Jacobi preconditioner.
@@ -238,13 +267,7 @@ void buildLevelBlocks(VoxelStressMultigrid::Level& lvl, ThreadPool* pool) {
       }
       blk[d * 3 + d] = 1.0;
     }
-    DenseMatrix m(3, 3);
-    for (int p = 0; p < 3; ++p)
-      for (int q = 0; q < 3; ++q) m(p, q) = blk[p * 3 + q];
-    const DenseMatrix inv = m.solveMultiple(DenseMatrix::identity(3));
-    double* out = &lvl.blockInv[static_cast<std::size_t>(node) * 9];
-    for (int p = 0; p < 3; ++p)
-      for (int q = 0; q < 3; ++q) out[p * 3 + q] = inv(p, q);
+    invert3x3(blk, &lvl.blockInv[static_cast<std::size_t>(node) * 9]);
   });
 }
 
@@ -252,13 +275,16 @@ void buildLevelBlocks(VoxelStressMultigrid::Level& lvl, ThreadPool* pool) {
 /// a deterministic pseudo-random start vector (constrained dofs excluded:
 /// they contribute the identity eigenvalue 1, never the max for these
 /// systems). All reductions go through parallelReduce, so the estimate is
-/// bit-identical for any pool size.
+/// bit-identical for any pool size. Each iteration is one normalizing scale
+/// and one stencil sweep whose epilogue applies the block inverse and the
+/// constrained mask; the squared norm of the new vector is the next
+/// iteration's normalizer.
 double estimateBlockJacobiLambdaMax(const VoxelStressMultigrid::Level& lvl,
-                                    ThreadPool* pool) {
+                                    ThreadPool& pool) {
   const std::int64_t dofs = static_cast<std::int64_t>(lvl.nodes) * 3;
   std::vector<double> v(static_cast<std::size_t>(dofs));
   std::vector<double> av(static_cast<std::size_t>(dofs));
-  parallelFor(pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
+  parallelFor(&pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
     // Knuth multiplicative hash → [0.5, 1.5); avoids symmetric vectors that
     // could sit orthogonal to the dominant eigenvector.
     const std::uint64_t h =
@@ -269,37 +295,42 @@ double estimateBlockJacobiLambdaMax(const VoxelStressMultigrid::Level& lvl,
             : 0.5 + static_cast<double>(h) / 1024.0;
   });
   auto squaredNorm = [&](const std::vector<double>& u) {
-    return pool ? pool->parallelReduce(
-                      0, dofs, kDofGrain, 0.0,
-                      [&](std::int64_t b, std::int64_t e) {
-                        double s = 0.0;
-                        for (std::int64_t i = b; i < e; ++i)
-                          s += u[static_cast<std::size_t>(i)] *
-                               u[static_cast<std::size_t>(i)];
-                        return s;
-                      },
-                      [](double a, double b) { return a + b; })
-                : [&] {
-                    double s = 0.0;
-                    for (double x : u) s += x * x;
-                    return s;
-                  }();
+    return pool.parallelReduce(
+        0, dofs, kDofGrain, 0.0,
+        [&](std::int64_t b, std::int64_t e) {
+          double s = 0.0;
+          for (std::int64_t i = b; i < e; ++i)
+            s += u[static_cast<std::size_t>(i)] *
+                 u[static_cast<std::size_t>(i)];
+          return s;
+        },
+        [](double a, double b) { return a + b; });
   };
   double lambda = 1.0;
+  double n2 = squaredNorm(v);
   for (int it = 0; it < kPowerIterations; ++it) {
-    const double n2 = squaredNorm(v);
     if (!(n2 > 0.0)) break;
     const double invNorm = 1.0 / std::sqrt(n2);
-    parallelFor(pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
+    parallelFor(&pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
       v[static_cast<std::size_t>(i)] *= invNorm;
     });
-    lvl.op.apply(v, av);
-    applyBlockInverse(lvl, av, av, pool);
-    parallelFor(pool, 0, dofs, kDofGrain, [&](std::int64_t i) {
-      if (lvl.constrained[static_cast<std::size_t>(i)])
-        av[static_cast<std::size_t>(i)] = 0.0;
+    lvl.op.sweep(v, [&](std::size_t n, const double* ax) {
+      // The block inverse runs in place on A v, one row at a time, so rows
+      // 1 and 2 read the rows above them already overwritten. This is not
+      // exactly D⁻¹A v, but it is the arithmetic every stored stress
+      // primitive and the golden data were computed with; changing it
+      // moves their bits.
+      const double* m = &lvl.blockInv[n * 9];
+      double z[3] = {ax[0], ax[1], ax[2]};
+      for (int p = 0; p < 3; ++p)
+        z[p] = m[p * 3] * z[0] + m[p * 3 + 1] * z[1] + m[p * 3 + 2] * z[2];
+      for (int p = 0; p < 3; ++p)
+        av[n * 3 + static_cast<std::size_t>(p)] =
+            lvl.constrained[n * 3 + static_cast<std::size_t>(p)] ? 0.0
+                                                                 : z[p];
     });
-    lambda = std::sqrt(squaredNorm(av));
+    n2 = squaredNorm(av);
+    lambda = std::sqrt(n2);
     v.swap(av);
   }
   return std::max(lambda, 1.0);
@@ -397,74 +428,62 @@ void VoxelStressMultigrid::buildHierarchy(
           if (j == 0 || j == cg.ny()) coarse->constrained[n * 3 + 1] = 1;
         }
 
-    // Fine→coarse transfer: per-axis interpolation maps, then the reverse
-    // (restriction) lists built by bucketing fine nodes per coarse node in
-    // fine-node order — a fixed, scheduling-independent layout.
+    // Fine→coarse transfer: per-axis factor lists, then the reverse
+    // (restriction) lists, counting-sorted by coarse node in fine-node
+    // order — a fixed, scheduling-independent layout.
     {
+      const Index cRow = cg.nx() + 1, cSlab = cRow * (cg.ny() + 1);
       std::vector<double> fx(static_cast<std::size_t>(fg.nx()) + 1),
           cx(static_cast<std::size_t>(cg.nx()) + 1);
       for (Index i = 0; i <= fg.nx(); ++i)
         fx[static_cast<std::size_t>(i)] = fg.nodeX(i);
       for (Index i = 0; i <= cg.nx(); ++i)
         cx[static_cast<std::size_t>(i)] = cg.nodeX(i);
-      f.tx = buildAxisTransfer(fg.nx(), cg.nx(), fx, cx);
+      f.tx = buildAxisTransfer(fg.nx(), cg.nx(), fx, cx, 1);
       std::vector<double> fy(static_cast<std::size_t>(fg.ny()) + 1),
           cy(static_cast<std::size_t>(cg.ny()) + 1);
       for (Index j = 0; j <= fg.ny(); ++j)
         fy[static_cast<std::size_t>(j)] = fg.nodeY(j);
       for (Index j = 0; j <= cg.ny(); ++j)
         cy[static_cast<std::size_t>(j)] = cg.nodeY(j);
-      f.ty = buildAxisTransfer(fg.ny(), cg.ny(), fy, cy);
+      f.ty = buildAxisTransfer(fg.ny(), cg.ny(), fy, cy, cRow);
       std::vector<double> fz(static_cast<std::size_t>(fg.nz()) + 1),
           cz(static_cast<std::size_t>(cg.nz()) + 1);
       for (Index k = 0; k <= fg.nz(); ++k)
         fz[static_cast<std::size_t>(k)] = fg.nodeZ(k);
       for (Index k = 0; k <= cg.nz(); ++k)
         cz[static_cast<std::size_t>(k)] = cg.nodeZ(k);
-      f.tz = buildAxisTransfer(fg.nz(), cg.nz(), fz, cz);
+      f.tz = buildAxisTransfer(fg.nz(), cg.nz(), fz, cz, cSlab);
+      f.rowGrain = std::max<std::int64_t>(1, kNodeGrain / (fg.nx() + 1));
     }
 
     {
-      std::vector<std::vector<std::pair<Index, double>>> buckets(
-          static_cast<std::size_t>(coarse->nodes));
-      const Index fRow = fg.nx() + 1, fSlab = fRow * (fg.ny() + 1);
-      for (Index fn = 0; fn < f.nodes; ++fn) {
-        const Index K = fn / fSlab;
-        const Index rem = fn % fSlab;
-        const Index J = rem / fRow;
-        const Index I = rem % fRow;
-        const Index cx = f.tx.c[static_cast<std::size_t>(I)];
-        const Index cy = f.ty.c[static_cast<std::size_t>(J)];
-        const Index cz = f.tz.c[static_cast<std::size_t>(K)];
-        const double wx = f.tx.w[static_cast<std::size_t>(I)];
-        const double wy = f.ty.w[static_cast<std::size_t>(J)];
-        const double wz = f.tz.w[static_cast<std::size_t>(K)];
-        for (int dk = 0; dk < 2; ++dk)
-          for (int dj = 0; dj < 2; ++dj)
-            for (int di = 0; di < 2; ++di) {
-              const double w = (di ? wx : 1.0 - wx) * (dj ? wy : 1.0 - wy) *
-                               (dk ? wz : 1.0 - wz);
-              if (w == 0.0) continue;
-              const Index cn = cg.nodeIndex(cx + di, cy + dj, cz + dk);
-              buckets[static_cast<std::size_t>(cn)].emplace_back(fn, w);
-            }
-      }
-      f.restrictPtr.assign(static_cast<std::size_t>(coarse->nodes) + 1, 0);
-      std::size_t total = 0;
-      for (Index cn = 0; cn < coarse->nodes; ++cn) {
-        total += buckets[static_cast<std::size_t>(cn)].size();
-        f.restrictPtr[static_cast<std::size_t>(cn) + 1] =
-            static_cast<Index>(total);
-      }
-      f.restrictFine.resize(total);
-      f.restrictWeight.resize(total);
-      std::size_t at = 0;
-      for (Index cn = 0; cn < coarse->nodes; ++cn)
-        for (const auto& [fn, w] : buckets[static_cast<std::size_t>(cn)]) {
-          f.restrictFine[at] = fn;
-          f.restrictWeight[at] = w;
-          ++at;
-        }
+      // Every prolongation term in fine-node order.
+      const auto forEachTerm = [&](auto&& fn) {
+        Index node = 0;
+        for (Index K = 0; K <= fg.nz(); ++K)
+          for (Index J = 0; J <= fg.ny(); ++J)
+            for (Index I = 0; I <= fg.nx(); ++I, ++node)
+              forEachTransferTerm(f.tx, f.ty, f.tz, I, J, K,
+                                  [&](Index cn, double w) { fn(node, cn, w); });
+      };
+      std::vector<Index>& ptr = f.restrictPtr;
+      ptr.assign(static_cast<std::size_t>(coarse->nodes) + 1, 0);
+      forEachTerm([&](Index, Index cn, double) {
+        ++ptr[static_cast<std::size_t>(cn) + 1];
+      });
+      for (std::size_t cn = 0; cn < static_cast<std::size_t>(coarse->nodes);
+           ++cn)
+        ptr[cn + 1] += ptr[cn];
+      f.restrictFine.resize(static_cast<std::size_t>(ptr.back()));
+      f.restrictWeight.resize(static_cast<std::size_t>(ptr.back()));
+      std::vector<Index> at(ptr.begin(), ptr.end() - 1);
+      forEachTerm([&](Index fn, Index cn, double w) {
+        Index& e = at[static_cast<std::size_t>(cn)];
+        f.restrictFine[static_cast<std::size_t>(e)] = fn;
+        f.restrictWeight[static_cast<std::size_t>(e)] = w;
+        ++e;
+      });
     }
 
     levels_.push_back(std::move(coarse));
@@ -487,8 +506,20 @@ void VoxelStressMultigrid::buildHierarchy(
     if (l + 1 < levels_.size()) {
       lvl.smoothD.assign(dofs, 0.0);
       buildLevelBlocks(lvl, pool_);
-      lvl.lambdaMax = estimateBlockJacobiLambdaMax(lvl, pool_);
+      lvl.lambdaMax = estimateBlockJacobiLambdaMax(lvl, *pool_);
     }
+  }
+
+  // Barriers per V-cycle, in vcycle()'s order on every smoothed level: the
+  // zero-guess first smoothing step (1), the other pre-smoothing steps, the
+  // residual, restriction (1), prolongation (1) and the post-smoothing
+  // steps — each stencil sweep a halo gather plus the row sweep (2). Then
+  // apply()'s constrained copy (1); the dense coarsest solve opens none.
+  parallelRegionsPerCycle_ = 1;
+  for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
+    const int pre = l == 0 ? options_.preSmooth : options_.coarsePreSmooth;
+    const int post = l == 0 ? options_.postSmooth : options_.coarsePostSmooth;
+    parallelRegionsPerCycle_ += 1 + 2 * (pre - 1) + 2 + 1 + 1 + 2 * post;
   }
 
   // Coarsest level: dense assembly with constrained rows/cols as identity,
@@ -636,38 +667,27 @@ void VoxelStressMultigrid::vcycle(std::size_t level, std::span<const double> r,
 
   vcycle(level + 1, next.r, next.z);
 
-  // Prolongate the coarse correction and add (constrained dofs excluded).
-  const VoxelGrid& fg = lvl.grid;
-  const VoxelGrid& cg = next.grid;
-  const Index fRow = fg.nx() + 1, fSlab = fRow * (fg.ny() + 1);
-  parallelFor(pool_, 0, lvl.nodes, kNodeGrain, [&](std::int64_t ni) {
-    const Index fn = static_cast<Index>(ni);
-    const Index K = fn / fSlab;
-    const Index rem = fn % fSlab;
-    const Index J = rem / fRow;
-    const Index I = rem % fRow;
-    const Index cx = lvl.tx.c[static_cast<std::size_t>(I)];
-    const Index cy = lvl.ty.c[static_cast<std::size_t>(J)];
-    const Index cz = lvl.tz.c[static_cast<std::size_t>(K)];
-    const double wx = lvl.tx.w[static_cast<std::size_t>(I)];
-    const double wy = lvl.ty.w[static_cast<std::size_t>(J)];
-    const double wz = lvl.tz.w[static_cast<std::size_t>(K)];
-    double corr[3] = {0.0, 0.0, 0.0};
-    for (int dk = 0; dk < 2; ++dk)
-      for (int dj = 0; dj < 2; ++dj)
-        for (int di = 0; di < 2; ++di) {
-          const double w = (di ? wx : 1.0 - wx) * (dj ? wy : 1.0 - wy) *
-                           (dk ? wz : 1.0 - wz);
-          if (w == 0.0) continue;
-          const Index cn = cg.nodeIndex(cx + di, cy + dj, cz + dk);
-          for (int d = 0; d < 3; ++d)
-            corr[d] += w * next.z[static_cast<std::size_t>(cn) * 3 +
-                                  static_cast<std::size_t>(d)];
-        }
-    for (int d = 0; d < 3; ++d) {
-      const auto dof =
-          static_cast<std::size_t>(fn) * 3 + static_cast<std::size_t>(d);
-      if (!lvl.constrained[dof]) z[dof] += corr[d];
+  // Prolongate the coarse correction and add (constrained dofs excluded),
+  // one fine x-row at a time.
+  const Index fRow = lvl.grid.nx() + 1, rowsPerSlab = lvl.grid.ny() + 1;
+  const std::int64_t rows =
+      static_cast<std::int64_t>(rowsPerSlab) * (lvl.grid.nz() + 1);
+  parallelFor(pool_, 0, rows, lvl.rowGrain, [&](std::int64_t row) {
+    const auto J = static_cast<Index>(row % rowsPerSlab);
+    const auto K = static_cast<Index>(row / rowsPerSlab);
+    const auto dof0 = static_cast<std::size_t>(row) *
+                      static_cast<std::size_t>(fRow) * 3;
+    for (Index I = 0; I < fRow; ++I) {
+      double corr[3] = {0.0, 0.0, 0.0};
+      forEachTransferTerm(lvl.tx, lvl.ty, lvl.tz, I, J, K,
+                          [&](Index cn, double w) {
+                            const double* zc =
+                                &next.z[static_cast<std::size_t>(cn) * 3];
+                            for (int d = 0; d < 3; ++d) corr[d] += w * zc[d];
+                          });
+      const std::size_t dof = dof0 + static_cast<std::size_t>(I) * 3;
+      for (std::size_t d = 0; d < 3; ++d)
+        if (!lvl.constrained[dof + d]) z[dof + d] += corr[d];
     }
   });
 
@@ -678,6 +698,7 @@ void VoxelStressMultigrid::apply(std::span<const double> r,
                                  std::span<double> z) const {
   VIADUCT_SPAN("fea.mg_cycle");
   VIADUCT_COUNTER_ADD("fea.mg_cycles", 1);
+  VIADUCT_COUNTER_ADD("fea.mg_parallel_regions", parallelRegionsPerCycle_);
   const Level& fine = *levels_.front();
   VIADUCT_REQUIRE(r.size() == static_cast<std::size_t>(fine.nodes) * 3 &&
                   z.size() == r.size());

@@ -88,6 +88,8 @@ class VoxelStressMultigrid final : public Preconditioner {
   /// `cellOperators` are the fine grid's per-cell Hex8 stiffness operators
   /// (borrowed; must outlive the preconditioner — the ThermoSolver owns
   /// them for the fine level). `constrained` is the per-dof Dirichlet mask.
+  /// `pool` is required: every kernel, reductions included, runs on it, so
+  /// the result is the same for every pool size.
   VoxelStressMultigrid(const VoxelGrid& grid,
                        const std::vector<bool>& constrained,
                        const std::vector<const Hex8Operators*>& cellOperators,
@@ -111,6 +113,16 @@ class VoxelStressMultigrid final : public Preconditioner {
   /// coarsest one has one (level 0 always does).
   const NodeStencilOperator& levelOperator(int level) const;
 
+  /// Pool parallel regions (each one barrier) a single apply() opens; the
+  /// fea.mg_parallel_regions counter adds this once per V-cycle.
+  std::int64_t parallelRegionsPerCycle() const {
+    return parallelRegionsPerCycle_;
+  }
+
+  /// Test hook: every level's stencil sweeps run `kernel`
+  /// (NodeStencilOperator::setKernelForTesting).
+  void setStencilKernelForTesting(StencilKernel kernel);
+
   /// Opaque per-level data; public so the implementation's file-local
   /// kernels (operator apply, smoother, λmax estimator) can take it.
   struct Level;
@@ -127,6 +139,7 @@ class VoxelStressMultigrid final : public Preconditioner {
   MultigridOptions options_;
   ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Level>> levels_;
+  std::int64_t parallelRegionsPerCycle_ = 0;
   DenseCholeskyFactor coarseFactor_;
 };
 

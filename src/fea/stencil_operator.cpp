@@ -13,6 +13,24 @@ namespace {
 constexpr std::int64_t kNodeGrain = 256;
 }  // namespace
 
+StencilKernel bestStencilKernel() {
+#if VIADUCT_STENCIL_AVX2
+  static const StencilKernel best = __builtin_cpu_supports("avx2")
+                                        ? StencilKernel::kAvx2
+                                        : StencilKernel::kPlain;
+  return best;
+#else
+  return StencilKernel::kPlain;
+#endif
+}
+
+void NodeStencilOperator::setKernelForTesting(StencilKernel kernel) {
+  VIADUCT_REQUIRE_MSG(
+      kernel == StencilKernel::kPlain || bestStencilKernel() == kernel,
+      "this CPU cannot run the AVX2 stencil rows");
+  kernel_ = kernel;
+}
+
 NodeStencilOperator::NodeStencilOperator(
     const VoxelGrid& grid, std::span<const std::uint8_t> constrained,
     std::span<const Hex8Operators* const> cellOperators, ThreadPool* pool)
@@ -21,8 +39,10 @@ NodeStencilOperator::NodeStencilOperator(
       ny_(grid.ny()),
       nz_(grid.nz()),
       pool_(pool),
+      kernel_(bestStencilKernel()),
       constrained_(constrained.begin(), constrained.end()) {
   VIADUCT_SPAN("fea.stencil_build");
+  VIADUCT_GAUGE_SET("fea.stencil_kernel", static_cast<int>(kernel_));
   VIADUCT_REQUIRE(constrained.size() == static_cast<std::size_t>(nodes_) * 3 &&
                   cellOperators.size() ==
                       static_cast<std::size_t>(grid.cellCount()));
@@ -139,7 +159,8 @@ NodeStencilOperator::NodeStencilOperator(
                     static_cast<std::int64_t>(distinctStencils()));
 
   // Row runs: each maximal stretch of one pattern id along an x-row splits
-  // into full-width runs of kLanes nodes plus one scalar remainder run.
+  // into full-width runs of kLanes nodes, then the remainder into runs of
+  // kLanes/2, kLanes/4 and 1 node where it is that long.
   const Index rows = (ny_ + 1) * (nz_ + 1);
   rowGrain_ = std::max<std::int64_t>(1, kNodeGrain / nodesPerRow);
   rowRuns_.reserve(static_cast<std::size_t>(rows) + 1);
@@ -157,8 +178,12 @@ NodeStencilOperator::NodeStencilOperator(
         runs_.push_back({node, pattern, kLanes});
         blockedNodes += kLanes;
       }
-      if (node < end) runs_.push_back({node, pattern, end - node});
-      node = end;
+      // The remainder is under kLanes nodes: its binary digits.
+      for (Index lanes = kLanes / 2; lanes >= 1; lanes /= 2)
+        if (end - node >= lanes) {
+          runs_.push_back({node, pattern, lanes});
+          node += lanes;
+        }
     }
   }
   rowRuns_.push_back(static_cast<Index>(runs_.size()));

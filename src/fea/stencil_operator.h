@@ -20,13 +20,18 @@
 // nodes of one x-row read consecutive halo entries.
 //
 // The sweep walks x-rows of nodes. Each row is split at construction into
-// runs of consecutive nodes sharing one pattern id: a full-width run of
-// kLanes nodes is swept by a lane loop with broadcast stencil
-// coefficients, which the compiler vectorizes across nodes; every other
-// node takes the scalar loop. Both compute each node's sum with the same
-// expression in the same neighbor order, so the result is bit-identical
-// to a per-node sweep — and, with node-local epilogues, for every pool
-// size.
+// runs of consecutive nodes sharing one pattern id: full-width runs of
+// kLanes nodes, then at most one run each of kLanes/2, kLanes/4 and one
+// node. One lane loop with broadcast stencil coefficients, instantiated per
+// run width, sweeps them all; the compiler vectorizes it across nodes. Every
+// width computes each node's sum with the same expression in the same
+// neighbor order, so the result is bit-identical to a per-node sweep —
+// and, with node-local epilogues, for every pool size.
+//
+// One row body serves two kernels: the plain build, and the same source
+// compiled for AVX2 (target attribute, no FMA, so no contraction and each
+// lane computes the same IEEE operations). The AVX2 rows run wherever the
+// CPU has AVX2, chosen once per process; the results are bitwise equal.
 #pragma once
 
 #include <array>
@@ -39,7 +44,20 @@
 #include "fea/hex8.h"
 #include "fea/voxel_grid.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define VIADUCT_STENCIL_AVX2 1
+#else
+#define VIADUCT_STENCIL_AVX2 0
+#endif
+
 namespace viaduct {
+
+/// Row kernel of NodeStencilOperator::sweep (the fea.stencil_kernel gauge).
+enum class StencilKernel : std::uint8_t { kPlain = 0, kAvx2 = 1 };
+
+/// kAvx2 when this CPU runs AVX2 code, else kPlain; checked once per
+/// process.
+StencilKernel bestStencilKernel();
 
 class NodeStencilOperator {
  public:
@@ -72,10 +90,17 @@ class NodeStencilOperator {
   /// Number of distinct 27-point block stencils in the dictionary.
   std::size_t distinctStencils() const { return table_.size() / kStencilSize; }
 
-  /// Share of nodes swept by the vectorized full-width runs.
+  /// Share of nodes swept by the full-width (kLanes) runs.
   double blockedFraction() const { return blockedFraction_; }
 
   Index dofCount() const { return nodes_ * 3; }
+
+  /// The row kernel sweep() runs: bestStencilKernel() at construction.
+  StencilKernel kernel() const { return kernel_; }
+
+  /// Test hook: sweep with `kernel` instead (kAvx2 requires a CPU with
+  /// AVX2). Not thread-safe against concurrent sweeps.
+  void setKernelForTesting(StencilKernel kernel);
 
   /// Dictionary view for oracle tests: cells per axis, the per-node
   /// pattern ids, one pattern's stencil ([neighbor][row][col], neighbor
@@ -96,8 +121,8 @@ class NodeStencilOperator {
   // Nodes per full-width run: the lane count of the vectorized sweep.
   static constexpr int kLanes = 8;
 
-  /// Consecutive nodes of one x-row sharing `pattern`; `count` is kLanes
-  /// for a full-width run, fewer for the scalar remainder of a run.
+  /// Consecutive nodes of one x-row sharing `pattern`; `count` is kLanes,
+  /// kLanes/2, kLanes/4 or 1.
   struct Run {
     Index firstNode;
     Index pattern;
@@ -106,9 +131,35 @@ class NodeStencilOperator {
 
   void gather(std::span<const double> x) const;
 
+  /// One x-row of the sweep: its runs, each node handed to
+  /// finish(node, a0, a1, a2). The body of both kernels.
+  template <typename Finish>
+  void sweepRow(std::int64_t row, Finish& finish) const;
+  /// One run of W nodes: the lane loop with broadcast coefficients.
+  template <int W, typename Finish>
+  void sweepLanes(const double* table, std::ptrdiff_t h0, Index firstNode,
+                  Finish& finish) const;
+
+  /// The two kernels. `flatten` inlines the row body, the Dirichlet
+  /// finish and the caller's epilogue into each, so no per-node call is
+  /// left. GCC does not pass a target on to lambdas, so the AVX2 row loop
+  /// must sit here, not in the parallelFor lambda that calls it.
+  template <typename Finish>
+  [[gnu::flatten]] void sweepRowPlain(std::int64_t row, Finish& finish) const {
+    sweepRow(row, finish);
+  }
+#if VIADUCT_STENCIL_AVX2
+  template <typename Finish>
+  [[gnu::flatten, gnu::target("avx2")]] void sweepRowAvx2(
+      std::int64_t row, Finish& finish) const {
+    sweepRow(row, finish);
+  }
+#endif
+
   Index nodes_ = 0;
   Index nx_ = 0, ny_ = 0, nz_ = 0;
   ThreadPool* pool_ = nullptr;
+  StencilKernel kernel_ = StencilKernel::kPlain;
   std::vector<std::uint8_t> constrained_;
   std::vector<Index> patternId_;            // per node
   std::vector<double> table_;               // distinct stencils, packed
@@ -126,13 +177,6 @@ void NodeStencilOperator::sweep(std::span<const double> x,
                                 Epilogue&& epilogue) const {
   VIADUCT_REQUIRE(x.size() == static_cast<std::size_t>(nodes_) * 3);
   gather(x);
-  const double* hx = halo_.data();
-  const double* hy = hx + plane_;
-  const double* hz = hy + plane_;
-  const Index nodesPerRow = nx_ + 1;
-  const Index rowsPerSlab = ny_ + 1;
-  const std::ptrdiff_t hRow = nx_ + 3;
-  const std::ptrdiff_t hSlab = hRow * (ny_ + 3);
   const std::uint8_t* mask = constrained_.data();
 
   // Dirichlet rows, then the caller's per-node work.
@@ -144,59 +188,76 @@ void NodeStencilOperator::sweep(std::span<const double> x,
     epilogue(static_cast<std::size_t>(node), ax);
   };
 
-  const std::int64_t rows = static_cast<std::int64_t>(rowsPerSlab) * (nz_ + 1);
-  parallelFor(pool_, 0, rows, rowGrain_, [&](std::int64_t row) {
-    const auto J = static_cast<Index>(row % rowsPerSlab);
-    const auto K = static_cast<Index>(row / rowsPerSlab);
-    // Halo index of the row's node I is hRowStart + I.
-    const std::ptrdiff_t hRowStart = 1 + hRow * (J + 1) + hSlab * (K + 1) -
-                                     static_cast<std::ptrdiff_t>(row) *
-                                         nodesPerRow;
-    for (Index ri = rowRuns_[static_cast<std::size_t>(row)];
-         ri < rowRuns_[static_cast<std::size_t>(row) + 1]; ++ri) {
-      const Run& run = runs_[static_cast<std::size_t>(ri)];
-      const double* const table =
-          &table_[static_cast<std::size_t>(run.pattern) * kStencilSize];
-      const std::ptrdiff_t h0 = hRowStart + run.firstNode;
-      if (run.count == kLanes) {
-        double a0[kLanes] = {}, a1[kLanes] = {}, a2[kLanes] = {};
-        const double* st = table;
-        for (int t = 0; t < 27; ++t, st += 9) {
-          const double* px = hx + h0 + offsets_[static_cast<std::size_t>(t)];
-          const double* py = hy + h0 + offsets_[static_cast<std::size_t>(t)];
-          const double* pz = hz + h0 + offsets_[static_cast<std::size_t>(t)];
-          const double s0 = st[0], s1 = st[1], s2 = st[2];
-          const double s3 = st[3], s4 = st[4], s5 = st[5];
-          const double s6 = st[6], s7 = st[7], s8 = st[8];
-          for (int l = 0; l < kLanes; ++l) {
-            const double x0 = px[l], x1 = py[l], x2 = pz[l];
-            a0[l] += s0 * x0 + s1 * x1 + s2 * x2;
-            a1[l] += s3 * x0 + s4 * x1 + s5 * x2;
-            a2[l] += s6 * x0 + s7 * x1 + s8 * x2;
-          }
-        }
-        for (int l = 0; l < kLanes; ++l)
-          finish(run.firstNode + l, a0[l], a1[l], a2[l]);
-        continue;
-      }
-      // The remainder keeps register accumulators: running it through the
-      // lane loop with a variable trip count measured about 30% slower
-      // per apply on the perf_fea_mg smoke grid (GCC 12, x86-64).
-      for (Index l = 0; l < run.count; ++l) {
-        const std::ptrdiff_t h = h0 + l;
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0;
-        const double* st = table;
-        for (int t = 0; t < 27; ++t, st += 9) {
-          const std::ptrdiff_t ht = h + offsets_[static_cast<std::size_t>(t)];
-          const double x0 = hx[ht], x1 = hy[ht], x2 = hz[ht];
-          a0 += st[0] * x0 + st[1] * x1 + st[2] * x2;
-          a1 += st[3] * x0 + st[4] * x1 + st[5] * x2;
-          a2 += st[6] * x0 + st[7] * x1 + st[8] * x2;
-        }
-        finish(run.firstNode + l, a0, a1, a2);
-      }
+  const std::int64_t rows = static_cast<std::int64_t>(ny_ + 1) * (nz_ + 1);
+#if VIADUCT_STENCIL_AVX2
+  if (kernel_ == StencilKernel::kAvx2) {
+    parallelFor(pool_, 0, rows, rowGrain_,
+                [&](std::int64_t row) { sweepRowAvx2(row, finish); });
+    return;
+  }
+#endif
+  parallelFor(pool_, 0, rows, rowGrain_,
+              [&](std::int64_t row) { sweepRowPlain(row, finish); });
+}
+
+template <int W, typename Finish>
+void NodeStencilOperator::sweepLanes(const double* table, std::ptrdiff_t h0,
+                                     Index firstNode, Finish& finish) const {
+  const double* hx = halo_.data();
+  const double* hy = hx + plane_;
+  const double* hz = hy + plane_;
+  double a0[W] = {}, a1[W] = {}, a2[W] = {};
+  const double* st = table;
+  for (int t = 0; t < 27; ++t, st += 9) {
+    const double* px = hx + h0 + offsets_[static_cast<std::size_t>(t)];
+    const double* py = hy + h0 + offsets_[static_cast<std::size_t>(t)];
+    const double* pz = hz + h0 + offsets_[static_cast<std::size_t>(t)];
+    const double s0 = st[0], s1 = st[1], s2 = st[2];
+    const double s3 = st[3], s4 = st[4], s5 = st[5];
+    const double s6 = st[6], s7 = st[7], s8 = st[8];
+    for (int l = 0; l < W; ++l) {
+      const double x0 = px[l], x1 = py[l], x2 = pz[l];
+      a0[l] += s0 * x0 + s1 * x1 + s2 * x2;
+      a1[l] += s3 * x0 + s4 * x1 + s5 * x2;
+      a2[l] += s6 * x0 + s7 * x1 + s8 * x2;
     }
-  });
+  }
+  for (int l = 0; l < W; ++l) finish(firstNode + l, a0[l], a1[l], a2[l]);
+}
+
+template <typename Finish>
+void NodeStencilOperator::sweepRow(std::int64_t row, Finish& finish) const {
+  const Index nodesPerRow = nx_ + 1;
+  const Index rowsPerSlab = ny_ + 1;
+  const std::ptrdiff_t hRow = nx_ + 3;
+  const std::ptrdiff_t hSlab = hRow * (ny_ + 3);
+  const auto J = static_cast<Index>(row % rowsPerSlab);
+  const auto K = static_cast<Index>(row / rowsPerSlab);
+  // Halo index of the row's node I is hRowStart + I.
+  const std::ptrdiff_t hRowStart = 1 + hRow * (J + 1) + hSlab * (K + 1) -
+                                   static_cast<std::ptrdiff_t>(row) *
+                                       nodesPerRow;
+  for (Index ri = rowRuns_[static_cast<std::size_t>(row)];
+       ri < rowRuns_[static_cast<std::size_t>(row) + 1]; ++ri) {
+    const Run& run = runs_[static_cast<std::size_t>(ri)];
+    const double* const table =
+        &table_[static_cast<std::size_t>(run.pattern) * kStencilSize];
+    const std::ptrdiff_t h0 = hRowStart + run.firstNode;
+    switch (run.count) {
+      case kLanes:
+        sweepLanes<kLanes>(table, h0, run.firstNode, finish);
+        break;
+      case kLanes / 2:
+        sweepLanes<kLanes / 2>(table, h0, run.firstNode, finish);
+        break;
+      case kLanes / 4:
+        sweepLanes<kLanes / 4>(table, h0, run.firstNode, finish);
+        break;
+      default:
+        sweepLanes<1>(table, h0, run.firstNode, finish);
+        break;
+    }
+  }
 }
 
 }  // namespace viaduct

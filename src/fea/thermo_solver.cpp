@@ -309,14 +309,7 @@ const Preconditioner& ThermoSolver::ensurePreconditioner() const {
           }
           blk[d * 3 + d] = 1.0;
         }
-        DenseMatrix m(3, 3);
-        for (int p = 0; p < 3; ++p)
-          for (int q = 0; q < 3; ++q) m(p, q) = blk[p * 3 + q];
-        DenseMatrix rhs = DenseMatrix::identity(3);
-        const DenseMatrix inv = m.solveMultiple(rhs);
-        double* out = &inverses[static_cast<std::size_t>(n) * 9];
-        for (int p = 0; p < 3; ++p)
-          for (int q = 0; q < 3; ++q) out[p * 3 + q] = inv(p, q);
+        invert3x3(blk, &inverses[static_cast<std::size_t>(n) * 9]);
       });
       precond_ =
           std::make_unique<NodalBlockPreconditioner>(std::move(inverses),

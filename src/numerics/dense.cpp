@@ -1,6 +1,7 @@
 #include "numerics/dense.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -67,20 +68,22 @@ DenseMatrix DenseMatrix::transposed() const {
   return t;
 }
 
-DenseLu::DenseLu(const DenseMatrix& a) : n_(a.rows()) {
-  VIADUCT_REQUIRE_MSG(a.rows() == a.cols(), "LU requires a square matrix");
-  lu_.resize(n_ * n_);
-  for (std::size_t r = 0; r < n_; ++r)
-    for (std::size_t c = 0; c < n_; ++c) lu_[r * n_ + c] = a(r, c);
-  piv_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) piv_[i] = i;
+namespace {
 
-  for (std::size_t k = 0; k < n_; ++k) {
+// The LU kernels behind DenseLu and invert3x3: one copy of the arithmetic,
+// so a 3×3 inverse on the stack is bitwise the DenseLu one.
+
+/// In-place partially-pivoted LU of the row-major n×n `lu`; `piv` receives
+/// the row permutation. Throws NumericalError on a (near-)zero pivot.
+[[gnu::always_inline]] inline void luFactorInPlace(double* lu, std::size_t* piv,
+                                                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
+  for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot.
     std::size_t p = k;
-    double best = std::abs(lu_[k * n_ + k]);
-    for (std::size_t r = k + 1; r < n_; ++r) {
-      const double v = std::abs(lu_[r * n_ + k]);
+    double best = std::abs(lu[k * n + k]);
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const double v = std::abs(lu[r * n + k]);
       if (v > best) {
         best = v;
         p = r;
@@ -89,39 +92,73 @@ DenseLu::DenseLu(const DenseMatrix& a) : n_(a.rows()) {
     if (best < 1e-300)
       throw NumericalError("DenseLu: matrix is singular to working precision");
     if (p != k) {
-      for (std::size_t c = 0; c < n_; ++c)
-        std::swap(lu_[k * n_ + c], lu_[p * n_ + c]);
-      std::swap(piv_[k], piv_[p]);
+      for (std::size_t c = 0; c < n; ++c)
+        std::swap(lu[k * n + c], lu[p * n + c]);
+      std::swap(piv[k], piv[p]);
     }
-    const double pivot = lu_[k * n_ + k];
-    for (std::size_t r = k + 1; r < n_; ++r) {
-      const double factor = lu_[r * n_ + k] / pivot;
-      lu_[r * n_ + k] = factor;
+    const double pivot = lu[k * n + k];
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const double factor = lu[r * n + k] / pivot;
+      lu[r * n + k] = factor;
       if (factor != 0.0) {
-        for (std::size_t c = k + 1; c < n_; ++c)
-          lu_[r * n_ + c] -= factor * lu_[k * n_ + c];
+        for (std::size_t c = k + 1; c < n; ++c)
+          lu[r * n + c] -= factor * lu[k * n + c];
       }
     }
   }
 }
 
-std::vector<double> DenseLu::solve(std::span<const double> b) const {
-  VIADUCT_REQUIRE(b.size() == n_);
-  std::vector<double> x(n_);
-  for (std::size_t i = 0; i < n_; ++i) x[i] = b[piv_[i]];
+/// x = A⁻¹ b from the factors of luFactorInPlace.
+[[gnu::always_inline]] inline void luSolve(const double* lu,
+                                           const std::size_t* piv,
+                                           std::size_t n, const double* b,
+                                           double* x) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]];
   // Forward substitution (L has implicit unit diagonal).
-  for (std::size_t r = 1; r < n_; ++r) {
+  for (std::size_t r = 1; r < n; ++r) {
     double s = x[r];
-    for (std::size_t c = 0; c < r; ++c) s -= lu_[r * n_ + c] * x[c];
+    for (std::size_t c = 0; c < r; ++c) s -= lu[r * n + c] * x[c];
     x[r] = s;
   }
   // Back substitution.
-  for (std::size_t ri = n_; ri-- > 0;) {
+  for (std::size_t ri = n; ri-- > 0;) {
     double s = x[ri];
-    for (std::size_t c = ri + 1; c < n_; ++c) s -= lu_[ri * n_ + c] * x[c];
-    x[ri] = s / lu_[ri * n_ + ri];
+    for (std::size_t c = ri + 1; c < n; ++c) s -= lu[ri * n + c] * x[c];
+    x[ri] = s / lu[ri * n + ri];
   }
+}
+
+}  // namespace
+
+DenseLu::DenseLu(const DenseMatrix& a) : n_(a.rows()) {
+  VIADUCT_REQUIRE_MSG(a.rows() == a.cols(), "LU requires a square matrix");
+  lu_.resize(n_ * n_);
+  for (std::size_t r = 0; r < n_; ++r)
+    for (std::size_t c = 0; c < n_; ++c) lu_[r * n_ + c] = a(r, c);
+  piv_.resize(n_);
+  luFactorInPlace(lu_.data(), piv_.data(), n_);
+}
+
+std::vector<double> DenseLu::solve(std::span<const double> b) const {
+  VIADUCT_REQUIRE(b.size() == n_);
+  std::vector<double> x(n_);
+  luSolve(lu_.data(), piv_.data(), n_, b.data(), x.data());
   return x;
+}
+
+void invert3x3(const double* a, double* inv) {
+  double lu[9];
+  std::size_t piv[3];
+  for (int i = 0; i < 9; ++i) lu[i] = a[i];
+  luFactorInPlace(lu, piv, 3);
+  // Column q of the inverse solves A x = e_q, as solveMultiple does.
+  for (std::size_t q = 0; q < 3; ++q) {
+    double e[3] = {0.0, 0.0, 0.0};
+    e[q] = 1.0;
+    double x[3];
+    luSolve(lu, piv, 3, e, x);
+    for (std::size_t p = 0; p < 3; ++p) inv[p * 3 + q] = x[p];
+  }
 }
 
 }  // namespace viaduct

@@ -56,4 +56,10 @@ class DenseLu {
   std::vector<std::size_t> piv_;  // row permutation
 };
 
+/// inv = A⁻¹ for a row-major 3×3 `a`, with no heap traffic: DenseLu's
+/// partially-pivoted elimination and substitutions on the stack, so the
+/// result is bitwise DenseMatrix::solveMultiple(identity(3)) and a
+/// (near-)singular block throws the same NumericalError.
+void invert3x3(const double* a, double* inv);
+
 }  // namespace viaduct

@@ -7,18 +7,27 @@
 // coarse level, on synthetic rows of 2, 7, 9 and 41 nodes, and for pools
 // of 1, 2 and 4 threads. The operator must also agree with the solver's
 // matrix-free cell-loop stiffness to summation-order rounding.
+//
+// The plain and AVX2 row kernels must agree bit for bit on the same grids
+// and pools, for apply(), residual() and a whole V-cycle; the stack 3×3
+// inverse behind the smoother blocks must equal DenseLu's on every
+// smoothed level's nodal blocks.
 #include "fea/stencil_operator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "fea/multigrid.h"
 #include "fea/thermo_solver.h"
+#include "numerics/dense.h"
 #include "obs/obs.h"
 #include "structures/cudd_builder.h"
 #include "viaarray/characterize.h"
@@ -224,12 +233,12 @@ TEST(FeaStencilOperator, AgreesWithTheMatrixFreeStiffness) {
 
 TEST(FeaStencilOperator, FullWidthRunsCoverUniformRowInteriors) {
   // Every 41-node row of a uniform grid is [boundary][39 × one pattern]
-  // [boundary]: four full-width runs and a 7-node scalar remainder.
+  // [boundary]: four full-width runs, then runs of 4, 2 and 1 node.
   const VoxelGrid g = VoxelGrid::uniform(40, 3, 4, 0.25e-6, 0.25e-6, 0.2e-6,
                                          MaterialId::kCopper);
   const Fixture f(g, 1);
   EXPECT_DOUBLE_EQ(f.mg->fineOperator().blockedFraction(), 32.0 / 41.0);
-  // Rows shorter than one full run sweep every node with the scalar loop.
+  // Rows shorter than one full run have no full-width run.
   const VoxelGrid narrow = VoxelGrid::uniform(8, 3, 4, 0.25e-6, 0.25e-6,
                                               0.2e-6, MaterialId::kCopper);
   const Fixture fn(narrow, 1);
@@ -252,6 +261,136 @@ TEST(FeaStencilOperator, BlockedFractionGaugeReportsTheFineLevel) {
       fine);
 }
 
+/// Every output the two row kernels must agree on for one hierarchy: each
+/// operator level's apply() and residual(), then a V-cycle.
+std::vector<std::vector<double>> kernelOutputs(Fixture& f,
+                                               StencilKernel kernel,
+                                               std::uint64_t seed) {
+  f.mg->setStencilKernelForTesting(kernel);
+  std::vector<std::vector<double>> out;
+  for (const int level : f.operatorLevels()) {
+    const NodeStencilOperator& op = f.mg->levelOperator(level);
+    EXPECT_EQ(op.kernel(), kernel);
+    const auto n = static_cast<std::size_t>(op.dofCount());
+    const std::vector<double> x = randomVector(n, seed + level);
+    const std::vector<double> b = randomVector(n, seed + level + 50);
+    std::vector<double>& y = out.emplace_back(n);
+    op.apply(x, y);
+    std::vector<double>& r = out.emplace_back(n);
+    op.residual(b, x, r);
+  }
+  const auto n = static_cast<std::size_t>(f.mg->fineOperator().dofCount());
+  std::vector<double> r = randomVector(n, seed + 99);
+  const auto& mask = f.solver.constrainedMask();
+  for (std::size_t i = 0; i < n; ++i)
+    if (mask[i]) r[i] = 0.0;
+  std::vector<double>& z = out.emplace_back(n, 0.0);
+  f.mg->apply(r, z);
+  return out;
+}
+
+/// Bitwise: EXPECT_EQ on doubles would let -0.0 match +0.0.
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expectKernelsAgree(const VoxelGrid& grid, std::uint64_t seed,
+                        const std::string& where) {
+  for (const int threads : {1, 2, 4}) {
+    Fixture f(grid, threads);
+    const auto plain = kernelOutputs(f, StencilKernel::kPlain, seed);
+    const auto avx2 = kernelOutputs(f, StencilKernel::kAvx2, seed);
+    ASSERT_EQ(plain.size(), avx2.size());
+    for (std::size_t i = 0; i < plain.size(); ++i)
+      EXPECT_TRUE(sameBits(plain[i], avx2[i]))
+          << where << " threads " << threads << " output " << i
+          << (i + 1 == plain.size() ? " (V-cycle)" : "");
+  }
+}
+
+TEST(FeaStencilKernels, PlainAndAvx2RowsAgreeOnPatternGrids) {
+  if (bestStencilKernel() != StencilKernel::kAvx2)
+    GTEST_SKIP() << "CPU without AVX2";
+  for (const IntersectionPattern pattern :
+       {IntersectionPattern::kPlus, IntersectionPattern::kT,
+        IntersectionPattern::kL}) {
+    const BuiltStructure built =
+        buildViaArrayStructure(characterizedArray(pattern));
+    expectKernelsAgree(built.grid, 300,
+                       "pattern " + std::to_string(static_cast<int>(pattern)));
+  }
+}
+
+TEST(FeaStencilKernels, PlainAndAvx2RowsAgreeOnSyntheticRowLengths) {
+  if (bestStencilKernel() != StencilKernel::kAvx2)
+    GTEST_SKIP() << "CPU without AVX2";
+  for (const Index rowNodes : {2, 7, 9, 41})
+    expectKernelsAgree(syntheticGrid(rowNodes - 1, 5, 6, 40 + rowNodes),
+                       11 * rowNodes, "row " + std::to_string(rowNodes));
+}
+
+TEST(FeaStencilKernels, OperatorsRunTheBestKernelAndTheHookChecksTheCpu) {
+  const VoxelGrid g = syntheticGrid(9, 3, 4, 5);
+  Fixture f(g, 1);
+  for (const int level : f.operatorLevels())
+    EXPECT_EQ(f.mg->levelOperator(level).kernel(), bestStencilKernel());
+  if (bestStencilKernel() == StencilKernel::kPlain) {
+    EXPECT_THROW(f.mg->setStencilKernelForTesting(StencilKernel::kAvx2),
+                 PreconditionError);
+  }
+  if (obs::enabled()) {
+    EXPECT_EQ(obs::Registry::instance().gauge("fea.stencil_kernel").value(),
+              static_cast<double>(bestStencilKernel()));
+  }
+}
+
+TEST(FeaStencilKernels, StackInverseMatchesDenseLuOnEveryLevelBlock) {
+  // A node's nodal diagonal block is its stencil's center entry; with the
+  // constrained rows and columns replaced by identity, exactly what the
+  // smoother and the block-Jacobi preconditioner invert.
+  for (const IntersectionPattern pattern :
+       {IntersectionPattern::kPlus, IntersectionPattern::kT,
+        IntersectionPattern::kL}) {
+    const BuiltStructure built =
+        buildViaArrayStructure(characterizedArray(pattern));
+    const Fixture f(built.grid, 1);
+    for (const int level : f.operatorLevels()) {
+      const NodeStencilOperator& op = f.mg->levelOperator(level);
+      const auto mask = op.constrainedMask();
+      const auto ids = op.patternIds();
+      std::size_t mismatches = 0, constrainedBlocks = 0;
+      for (std::size_t node = 0; node < ids.size(); ++node) {
+        double blk[9];
+        const double* center = op.stencil(ids[node]).data() + 13 * 9;
+        std::copy(center, center + 9, blk);
+        bool constrained = false;
+        for (int d = 0; d < 3; ++d) {
+          if (!mask[node * 3 + static_cast<std::size_t>(d)]) continue;
+          constrained = true;
+          for (int q = 0; q < 3; ++q) blk[d * 3 + q] = blk[q * 3 + d] = 0.0;
+          blk[d * 3 + d] = 1.0;
+        }
+        constrainedBlocks += constrained ? 1 : 0;
+        DenseMatrix m(3, 3);
+        for (std::size_t p = 0; p < 3; ++p)
+          for (std::size_t q = 0; q < 3; ++q) m(p, q) = blk[p * 3 + q];
+        const DenseMatrix want = m.solveMultiple(DenseMatrix::identity(3));
+        double got[9];
+        invert3x3(blk, got);
+        for (std::size_t p = 0; p < 3; ++p)
+          for (std::size_t q = 0; q < 3; ++q)
+            if (std::bit_cast<std::uint64_t>(got[p * 3 + q]) !=
+                std::bit_cast<std::uint64_t>(want(p, q)))
+              ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "pattern " << static_cast<int>(pattern)
+                                << " level " << level;
+      EXPECT_GT(constrainedBlocks, 0u);
+    }
+  }
+}
+
 TEST(FeaStencilOperator, VcycleIsBitIdenticalAcrossPools) {
   const BuiltStructure built =
       buildViaArrayStructure(characterizedArray(IntersectionPattern::kT));
@@ -269,6 +408,33 @@ TEST(FeaStencilOperator, VcycleIsBitIdenticalAcrossPools) {
       reference = z;
     else
       EXPECT_EQ(z, reference) << threads;
+  }
+}
+
+TEST(FeaStencilOperator, ParallelRegionCounterMatchesThePoolsJobs) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs compiled out";
+  const BuiltStructure built =
+      buildViaArrayStructure(characterizedArray(IntersectionPattern::kL));
+  for (const int threads : {1, 4}) {
+    const Fixture f(built.grid, threads);
+    const auto n = static_cast<std::size_t>(f.mg->fineOperator().dofCount());
+    const std::vector<double> r(n, 0.0);
+    std::vector<double> z(n, 0.0);
+    auto& reg = obs::Registry::instance();
+    const auto jobs = [&] {
+      return reg.counter("pool.jobs").value() +
+             reg.counter("pool.jobs_inline").value();
+    };
+    const std::uint64_t jobsBefore = jobs();
+    const std::uint64_t regionsBefore =
+        reg.counter("fea.mg_parallel_regions").value();
+    f.mg->apply(r, z);
+    f.mg->apply(r, z);
+    EXPECT_EQ(reg.counter("fea.mg_parallel_regions").value() - regionsBefore,
+              2 * static_cast<std::uint64_t>(f.mg->parallelRegionsPerCycle()));
+    EXPECT_EQ(jobs() - jobsBefore,
+              2 * static_cast<std::uint64_t>(f.mg->parallelRegionsPerCycle()))
+        << threads;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -117,6 +119,48 @@ TEST(DenseLu, RandomRoundTrip) {
     const auto x = a.solve(b);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xTrue[i], 1e-9);
   }
+}
+
+/// invert3x3 against DenseMatrix::solveMultiple(identity(3)), bit for bit.
+void expectStackInverseMatchesLu(const double a[9]) {
+  DenseMatrix m(3, 3);
+  for (std::size_t p = 0; p < 3; ++p)
+    for (std::size_t q = 0; q < 3; ++q) m(p, q) = a[p * 3 + q];
+  const DenseMatrix want = m.solveMultiple(DenseMatrix::identity(3));
+  double got[9];
+  invert3x3(a, got);
+  for (std::size_t p = 0; p < 3; ++p)
+    for (std::size_t q = 0; q < 3; ++q)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p * 3 + q]),
+                std::bit_cast<std::uint64_t>(want(p, q)))
+          << p << "," << q;
+}
+
+TEST(DenseInvert3x3, BitwiseEqualToDenseLuOnRandomAndPivotingBlocks) {
+  Rng rng(33, 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    double a[9];
+    for (double& v : a) v = rng.uniform(-1.0, 1.0);
+    expectStackInverseMatchesLu(a);
+  }
+  // A zero leading pivot and a row swap at every step.
+  const double swaps[9] = {0.0, 2.0, 1.0, 0.0, 0.5, 3.0, 4.0, 1.0, 0.0};
+  expectStackInverseMatchesLu(swaps);
+  // Constrained-identity rows, as the smoother blocks carry them.
+  const double partial[9] = {1.0, 0.0, 0.0, 0.0, 5.0, -1.0, 0.0, -1.0, 4.0};
+  expectStackInverseMatchesLu(partial);
+  const double eye[9] = {1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0};
+  expectStackInverseMatchesLu(eye);
+}
+
+TEST(DenseInvert3x3, SingularBlockThrowsLikeDenseLu) {
+  const double singular[9] = {1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 0.0, 1.0, 1.0};
+  DenseMatrix m(3, 3);
+  for (std::size_t p = 0; p < 3; ++p)
+    for (std::size_t q = 0; q < 3; ++q) m(p, q) = singular[p * 3 + q];
+  EXPECT_THROW(m.solveMultiple(DenseMatrix::identity(3)), NumericalError);
+  double out[9];
+  EXPECT_THROW(invert3x3(singular, out), NumericalError);
 }
 
 TEST(DenseMatrix, OutOfBoundsRejected) {

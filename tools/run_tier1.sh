@@ -31,10 +31,11 @@
 #      stay within the telemetry overhead budget and keep ttfSamples
 #      bit-identical vs. obs-off across thread counts (BENCH_obs_export.json);
 #   9. the perf_fea_mg smoke: multigrid vs IC(0) end-to-end FEA solve with
-#      via-peak parity, warm-primitive-store and 1-vs-2-thread displacement
-#      bit-identity gates (BENCH_fea_mg.json, which also reports the fine
-#      stencil sweep's ns/node; the >= 4x speedup floor applies to the
-#      full-size run, not the smoke);
+#      via-peak parity, warm-primitive-store, 1-vs-2-thread displacement
+#      and plain-vs-AVX2 stencil-row bit-identity gates (BENCH_fea_mg.json,
+#      which also reports the fine stencil sweep's ns/node per row kernel
+#      and the multigrid set-up time; the >= 4x speedup floor applies to
+#      the full-size run, not the smoke);
 #  10. a CLI warm-store smoke: two characterize runs sharing a
 #      --primitive-store file — the second must report zero FEA solves in
 #      its --metrics-out snapshot and print identical TTF percentiles;
@@ -137,8 +138,9 @@ echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
 
 echo "=== [9/13] perf_fea_mg: multigrid vs IC(0) FEA solve smoke ==="
 # End-to-end solve parity (mg and ic0 via peaks must agree), the
-# warm-primitive-store zero-solve gate and the mg displacement's
-# bit-identity at 1 and 2 threads on a reduced problem; the full
+# warm-primitive-store zero-solve gate, the mg displacement's
+# bit-identity at 1 and 2 threads and the plain and AVX2 stencil rows'
+# bit-identity (where the CPU has AVX2) on a reduced problem; the full
 # fig7-size run with the >= 4x speedup floor is the same binary
 # without --smoke (CI uploads its BENCH_fea_mg.json).
 (cd build/bench && ./perf_fea_mg --smoke)
