@@ -236,8 +236,7 @@ std::map<std::int64_t, TrialRecord> TrialRecorder::restore() {
   snapshot_.trials = std::move(snap->trials);
   resumedTrials_ = static_cast<int>(snapshot_.trials.size());
   if (resumedTrials_ > 0) {
-    VIADUCT_COUNTER_ADD("checkpoint.resumed_trials", resumedTrials_);
-    VIADUCT_INFO << "checkpoint: resumed " << resumedTrials_ << "/"
+    VIADUCT_INFO << "checkpoint: loaded " << resumedTrials_ << "/"
                  << snapshot_.totalTrials << " trials from " << options_.path;
   }
   return snapshot_.trials;

@@ -2,8 +2,8 @@
 // loops (DESIGN.md §5.8).
 //
 // A level-2 grid run at production sizes is hours long; a crash, OOM-kill,
-// or preemption must not throw away every completed trial. Both MC levels
-// periodically snapshot their completed per-trial results to a single file:
+// or preemption must not throw away every completed trial. The shared MC
+// trial loop (trial_loop.h) snapshots completed trials to a single file:
 //
 //   viaduct-checkpoint v1
 //   key <configKey>
@@ -52,7 +52,8 @@ namespace viaduct::checkpoint {
 enum class TrialOutcome : unsigned char { kKept, kDiscarded, kSalvaged };
 
 /// One completed trial. The payload interpretation is the owner's:
-///   grid MC           primary = {ttf sample, failures}; secondary empty.
+///   grid MC           primary = {ttf sample, failures[, audited, mortal]};
+///                     secondary empty.
 ///   characterization  primary = failureTimes; secondary = resistanceAfter.
 struct TrialRecord {
   std::int64_t trial = 0;
@@ -108,7 +109,7 @@ class CheckpointFile {
   std::string path_;
 };
 
-/// Thread-safe periodic recorder both MC loops drive. Workers call
+/// Thread-safe periodic recorder of the shared trial loop. Workers call
 /// record() once per completed trial; every `everyTrials` completions the
 /// accumulated snapshot is rewritten. A disabled recorder (empty path) is
 /// a no-op.
@@ -120,7 +121,7 @@ class TrialRecorder {
   /// Loads the snapshot for resume. Returns the usable records (empty when
   /// disabled, not resuming, or the snapshot was missing/stale/corrupt);
   /// the returned records also seed the recorder, so later snapshots keep
-  /// them. Bumps the `checkpoint.resumed_trials` counter.
+  /// them.
   std::map<std::int64_t, TrialRecord> restore();
 
   /// Records one completed trial and writes a snapshot when the cadence

@@ -9,8 +9,8 @@
 //
 // Determinism contract: every decision is driven by the counter-based
 // Rng(seed ^ hash(site), stream) streams (common/rng.h). The stream is the
-// surrounding Monte Carlo trial index, published via ScopedStream — both MC
-// levels open one scope per trial, so the Kth query of site S inside trial
+// surrounding Monte Carlo trial index, published via ScopedStream — the MC
+// trial loop opens one scope per trial, so the Kth query of site S inside trial
 // T always sees the same deviate, regardless of which worker thread runs
 // the trial or how many threads exist. Work-item-indexed decisions
 // (shouldInjectAt) are stateless: the decision is a pure function of

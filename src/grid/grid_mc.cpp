@@ -5,12 +5,11 @@
 #include <limits>
 #include <sstream>
 
+#include "checkpoint/trial_loop.h"
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/progress.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "fault/fault.h"
 #include "obs/obs.h"
 
 namespace viaduct {
@@ -39,10 +38,7 @@ std::string GridFailureCriterion::describe() const {
 
 namespace {
 
-/// Trials are partitioned into fixed chunks of this size (a compile-time
-/// constant, never derived from the thread count, so the chunk layout is
-/// identical for any pool size). Scratch buffers are reused across the
-/// trials of a chunk.
+/// Trials per chunk of the trial loop; one TrialWorkspace serves a chunk.
 constexpr std::int64_t kTrialChunk = 4;
 
 /// Per-trial scratch, reused across the trials of a chunk to avoid
@@ -51,23 +47,27 @@ struct TrialWorkspace {
   std::vector<double> budget;
   std::vector<double> damage;
   std::vector<double> rates;
-  /// Wire-EM audit buffers (sized once per chunk when the audit is on)
-  /// and the run's resolved wire terminals, shared by every chunk.
+  /// Wire-EM audit buffers (sized once per chunk when the audit is on).
   WireTreeSet::Scratch emScratch;
-  const WireTreeSet::Terminals* emTerminals = nullptr;
+};
+
+/// One trial's result: the time reached (the TTF sample once the trial
+/// ends), the arrays failed, and the wire-EM audit counts. Kept current as
+/// the trial advances, so a trial aborted mid-flight by a solver failure
+/// leaves its progress behind for salvage.
+struct TrialResult {
+  double sample = 0.0;
+  int failures = 0;
+  int wireAudited = 0;
+  int wireMortal = 0;
 };
 
 /// One trial of sequential array failures (damage-accumulation form of
 /// Algorithm 1: budgets are consumed at a current-dependent rate, so TTFs
 /// re-scale automatically whenever the currents redistribute).
-///
-/// `progressOut` and `failuresOut` are kept current as the trial advances,
-/// so a trial aborted mid-flight by a solver failure leaves the time
-/// reached and failures simulated so far behind for salvage accounting.
-double runTrial(const PowerGridModel& model, const GridMcOptions& options,
-                Rng& rng, TrialWorkspace& ws, int* failuresOut,
-                double* progressOut, int* wireAuditedOut = nullptr,
-                int* wireMortalOut = nullptr) {
+void runTrial(const PowerGridModel& model, const GridMcOptions& options,
+              const WireTreeSet::Terminals& emTerminals, Rng& rng,
+              TrialWorkspace& ws, TrialResult& out) {
   VIADUCT_SPAN("grid_mc.trial");
   VIADUCT_COUNTER_ADD("grid_mc.trials", 1);
   const int count = static_cast<int>(model.viaArrays().size());
@@ -99,10 +99,10 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
   auto auditConfig = [&](const PowerGridModel::DcSolution& s) {
     if (!wireAudit) return;
     const WireTreeSet::Audit audit = options.wireEm.trees->audit(
-        *ws.emTerminals, s, options.wireEm.mode, options.wireEm.stressMarginPa,
+        emTerminals, s, options.wireEm.mode, options.wireEm.stressMarginPa,
         options.wireEm.params, ws.emScratch);
-    if (wireAuditedOut) ++*wireAuditedOut;
-    if (wireMortalOut && audit.anyMortal()) ++*wireMortalOut;
+    ++out.wireAudited;
+    if (audit.anyMortal()) ++out.wireMortal;
   };
 
   PowerGridModel::Session session(model);
@@ -154,11 +154,11 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
       // No array carries current (fully partitioned grid without IR
       // breach cannot happen — loads guarantee current somewhere).
       VIADUCT_WARN << "grid MC: no active array carries current; trial ends";
-      return t;
+      return;
     }
 
     t += best;
-    if (progressOut) *progressOut = t;
+    out.sample = t;
     for (int m = 0; m < count; ++m) {
       if (session.arrayOpen(m) || m == victim) continue;
       damage[static_cast<std::size_t>(m)] +=
@@ -167,11 +167,11 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
     session.openArray(victim);
     damage[static_cast<std::size_t>(victim)] = 1.0;
     VIADUCT_COUNTER_ADD("grid_mc.array_failures", 1);
-    if (failuresOut) *failuresOut = failed + 1;
+    out.failures = failed + 1;
 
     if (options.systemCriterion.kind ==
         GridFailureCriterion::Kind::kWeakestLink) {
-      return t;
+      return;
     }
 
     VIADUCT_COUNTER_ADD("grid_mc.resolves", 1);
@@ -183,15 +183,13 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
     }
     auditConfig(sol);
     if (sol.worstIrDropFraction >= options.systemCriterion.irDropFraction) {
-      return t;
+      return;
     }
   }
   // Exhausted the failure budget without breaching: report the last time
   // (conservative; with maxFailures == count the grid is fully open and the
   // IR criterion must have fired earlier).
   VIADUCT_WARN << "grid MC: trial hit the failure cap without breaching";
-  if (failuresOut) *failuresOut = maxFailures;
-  return t;
 }
 
 }  // namespace
@@ -245,31 +243,60 @@ std::string gridMcCheckpointKey(const PowerGridModel& model,
 
 namespace {
 
-enum class TrialStatus : unsigned char { kKept, kDiscarded, kSalvaged };
-
-checkpoint::TrialOutcome toOutcome(TrialStatus status) {
-  switch (status) {
-    case TrialStatus::kDiscarded:
-      return checkpoint::TrialOutcome::kDiscarded;
-    case TrialStatus::kSalvaged:
-      return checkpoint::TrialOutcome::kSalvaged;
-    case TrialStatus::kKept:
-      break;
-  }
-  return checkpoint::TrialOutcome::kKept;
+/// A restored count is an integer in [0, max]; anything else (NaN, a
+/// fraction, 3e9) came from a damaged snapshot and is re-run rather than
+/// cast to int.
+bool isCount(double value, double max) {
+  return value >= 0.0 && value <= max && value == std::floor(value);
 }
 
-TrialStatus fromOutcome(checkpoint::TrialOutcome outcome) {
-  switch (outcome) {
-    case checkpoint::TrialOutcome::kDiscarded:
-      return TrialStatus::kDiscarded;
-    case checkpoint::TrialOutcome::kSalvaged:
-      return TrialStatus::kSalvaged;
-    case checkpoint::TrialOutcome::kKept:
-      break;
+/// Level 2's side of the trial loop. Payload: {ttf sample, failures}, plus
+/// {configs audited, mortal configs} when the wire-EM audit is on.
+struct GridTrials {
+  const PowerGridModel& model;
+  const GridMcOptions& options;
+  /// The run's resolved wire terminals, shared by every trial.
+  const WireTreeSet::Terminals emTerminals =
+      options.wireEm.enabled() ? options.wireEm.trees->resolve(model)
+                               : WireTreeSet::Terminals{};
+  std::vector<TrialResult> results =
+      std::vector<TrialResult>(static_cast<std::size_t>(options.trials));
+
+  bool restore(const checkpoint::TrialRecord& record) {
+    const bool audit = options.wireEm.enabled();
+    const auto& p = record.primary;
+    const auto arrays = static_cast<double>(model.viaArrays().size());
+    // One audit per DC solve: the healthy grid plus one per failure.
+    if (p.size() != (audit ? 4u : 2u) || !record.secondary.empty() ||
+        !(std::isfinite(p[0]) && p[0] >= 0.0) || !isCount(p[1], arrays) ||
+        (audit && !(isCount(p[2], arrays + 1.0) && isCount(p[3], p[2]))))
+      return false;
+    results[static_cast<std::size_t>(record.trial)] = {
+        p[0], static_cast<int>(p[1]), audit ? static_cast<int>(p[2]) : 0,
+        audit ? static_cast<int>(p[3]) : 0};
+    return true;
   }
-  return TrialStatus::kKept;
-}
+
+  TrialWorkspace newScratch() const {
+    TrialWorkspace ws;
+    if (options.wireEm.enabled())
+      ws.emScratch = options.wireEm.trees->makeScratch();
+    return ws;
+  }
+
+  void run(std::int64_t trial, Rng& rng, TrialWorkspace& ws) {
+    runTrial(model, options, emTerminals, rng, ws,
+             results[static_cast<std::size_t>(trial)]);
+  }
+
+  void pack(checkpoint::TrialRecord& record) const {
+    const TrialResult& r = results[static_cast<std::size_t>(record.trial)];
+    record.primary = {r.sample, static_cast<double>(r.failures),
+                      static_cast<double>(r.wireAudited),
+                      static_cast<double>(r.wireMortal)};
+    if (!options.wireEm.enabled()) record.primary.resize(2);
+  }
+};
 
 }  // namespace
 
@@ -278,142 +305,42 @@ GridMcResult runGridMonteCarlo(const PowerGridModel& model,
   VIADUCT_REQUIRE(options.trials >= 1);
   VIADUCT_SPAN("grid_mc.run");
   const auto wallStart = std::chrono::steady_clock::now();
+  // Each trial runs a private Session on its own stream Rng(seed, trial),
+  // so the samples, the discard/salvage pattern and a resumed run are
+  // bit-identical for any thread count. A salvaged trial keeps the time
+  // it reached as a right-censored TTF observation (conservative).
+  GridTrials trials{model, options};
+  const checkpoint::TrialTally tally = checkpoint::runTrialLoop(
+      {.label = "grid_mc", .configKey = gridMcCheckpointKey(model, options),
+       .trials = options.trials, .seed = options.seed, .grain = kTrialChunk,
+       .parallelism = options.parallelism, .policy = options.policy,
+       .checkpoint = options.checkpoint},
+      trials);
+
   GridMcResult result;
-  std::vector<double> samples(static_cast<std::size_t>(options.trials), 0.0);
-  std::vector<int> failures(static_cast<std::size_t>(options.trials), 0);
-  std::vector<TrialStatus> status(static_cast<std::size_t>(options.trials),
-                                  TrialStatus::kKept);
-  const bool wireAudit = options.wireEm.enabled();
-  std::vector<int> wireAudited(static_cast<std::size_t>(options.trials), 0);
-  std::vector<int> wireMortal(static_cast<std::size_t>(options.trials), 0);
-
-  // Checkpoint/resume: restore completed trials (value, failure count, and
-  // discard/salvage status all come from the snapshot, so the accounting
-  // survives the resume), then run only what is missing.
-  checkpoint::TrialRecorder recorder(
-      options.checkpoint, gridMcCheckpointKey(model, options), options.trials);
-  std::vector<unsigned char> done(static_cast<std::size_t>(options.trials), 0);
-  // When the audit is on, the payload carries two extra values (configs
-  // audited, mortal configs) so resumed runs keep their audit aggregates.
-  const std::size_t wantPayload = wireAudit ? 4 : 2;
-  for (const auto& [trial, record] : recorder.restore()) {
-    const auto idx = static_cast<std::size_t>(trial);
-    if (record.primary.size() != wantPayload || !record.secondary.empty()) {
-      VIADUCT_WARN << "checkpoint: trial " << trial
-                   << " has an unexpected payload; re-running it";
-      continue;
-    }
-    samples[idx] = record.primary[0];
-    failures[idx] = static_cast<int>(record.primary[1]);
-    if (wireAudit) {
-      wireAudited[idx] = static_cast<int>(record.primary[2]);
-      wireMortal[idx] = static_cast<int>(record.primary[3]);
-    }
-    status[idx] = fromOutcome(record.outcome);
-    done[idx] = 1;
-    ++result.resumedTrials;
-  }
-
-  // Each trial draws from its own counter-based stream Rng(seed, trial)
-  // and runs a private Session, so every trial's sample is a pure function
-  // of (model, options, trial) — never of scheduling — and the result is
-  // bit-identical for any thread count. The fault ScopedStream pins any
-  // armed injection site to the same per-trial stream, so injected-fault
-  // schedules (and hence the discard/salvage pattern) are too.
-  ThreadPool pool(options.parallelism);
-  ProgressReporter::Options progressOptions;
-  if (recorder.enabled())
-    progressOptions.checkpointAgeSeconds = [&recorder] {
-      return recorder.secondsSinceLastWrite();
-    };
-  ProgressReporter progress("grid_mc", options.trials,
-                            std::move(progressOptions));
-  progress.seedCompleted(result.resumedTrials);
-  const WireTreeSet::Terminals emTerminals =
-      wireAudit ? options.wireEm.trees->resolve(model)
-                : WireTreeSet::Terminals{};
-  pool.runChunks(
-      0, options.trials, kTrialChunk, [&](std::int64_t lo, std::int64_t hi) {
-        TrialWorkspace ws;
-        if (wireAudit) {
-          ws.emScratch = options.wireEm.trees->makeScratch();
-          ws.emTerminals = &emTerminals;
-        }
-        for (std::int64_t trial = lo; trial < hi; ++trial) {
-          const auto idx = static_cast<std::size_t>(trial);
-          if (done[idx]) continue;  // restored from the checkpoint
-          const fault::ScopedStream scope(static_cast<std::uint64_t>(trial));
-          Rng rng(options.seed, static_cast<std::uint64_t>(trial));
-          try {
-            samples[idx] =
-                runTrial(model, options, rng, ws, &failures[idx], &samples[idx],
-                         &wireAudited[idx], &wireMortal[idx]);
-          } catch (const NumericalError&) {
-            if (!options.policy.enabled ||
-                options.policy.trialPolicy ==
-                    fault::FailurePolicy::TrialPolicy::kAbort) {
-              throw;
-            }
-            if (options.policy.trialPolicy ==
-                fault::FailurePolicy::TrialPolicy::kSalvage) {
-              // samples[idx] holds the time reached before the failure: a
-              // right-censored TTF observation, kept as-is (conservative).
-              status[idx] = TrialStatus::kSalvaged;
-            } else {
-              status[idx] = TrialStatus::kDiscarded;
-            }
-          }
-          std::vector<double> payload = {samples[idx],
-                                         static_cast<double>(failures[idx])};
-          if (wireAudit) {
-            payload.push_back(static_cast<double>(wireAudited[idx]));
-            payload.push_back(static_cast<double>(wireMortal[idx]));
-          }
-          recorder.record(
-              {trial, toOutcome(status[idx]), std::move(payload), {}});
-          progress.trialDone(status[idx] == TrialStatus::kDiscarded ? 1 : 0,
-                             status[idx] == TrialStatus::kSalvaged ? 1 : 0);
-        }
-      });
-  recorder.finalize();
-
+  result.discardedTrials = tally.discarded;
+  result.salvagedTrials = tally.salvaged;
+  result.resumedTrials = tally.resumed;
   long long failureTotal = 0;
-  long long included = 0;
   result.ttfSamples.reserve(static_cast<std::size_t>(options.trials));
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (status[i] == TrialStatus::kDiscarded) {
-      ++result.discardedTrials;
-      continue;
-    }
-    if (status[i] == TrialStatus::kSalvaged) ++result.salvagedTrials;
-    result.ttfSamples.push_back(samples[i]);
-    failureTotal += failures[i];
-    ++included;
-    if (wireAudit) {
-      result.wireAuditedConfigs += wireAudited[i];
-      result.wireMortalConfigs += wireMortal[i];
-      if (wireMortal[i] > 0) ++result.wireMortalTrials;
-    }
-    VIADUCT_HISTOGRAM_OBSERVE("grid_mc.failures_per_trial", failures[i],
+  for (std::size_t i = 0; i < trials.results.size(); ++i) {
+    if (tally.outcomes[i] == checkpoint::TrialOutcome::kDiscarded) continue;
+    const TrialResult& r = trials.results[i];
+    result.ttfSamples.push_back(r.sample);
+    failureTotal += r.failures;
+    result.wireAuditedConfigs += r.wireAudited;
+    result.wireMortalConfigs += r.wireMortal;
+    if (r.wireMortal > 0) ++result.wireMortalTrials;
+    VIADUCT_HISTOGRAM_OBSERVE("grid_mc.failures_per_trial", r.failures,
                               obs::Buckets::linear(0, 2, 16));
-  }
-  if (result.discardedTrials > 0) {
-    VIADUCT_COUNTER_ADD("grid_mc.trials_discarded", result.discardedTrials);
-  }
-  if (result.salvagedTrials > 0) {
-    VIADUCT_COUNTER_ADD("grid_mc.trials_salvaged", result.salvagedTrials);
   }
   if (result.ttfSamples.empty()) {
     throw NumericalError(
         "grid MC: every trial was discarded by the failure policy");
   }
-  if (result.discardedTrials > 0 || result.salvagedTrials > 0) {
-    VIADUCT_INFO << "grid MC: kept " << included << "/" << options.trials
-                 << " trials (" << result.discardedTrials << " discarded, "
-                 << result.salvagedTrials << " salvaged)";
-  }
   result.meanFailuresToBreach =
-      static_cast<double>(failureTotal) / static_cast<double>(included);
+      static_cast<double>(failureTotal) /
+      static_cast<double>(result.ttfSamples.size());
   const double wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wallStart)

@@ -83,26 +83,17 @@ struct GridMcOptions {
   /// Safety valve: maximum failures simulated per trial (0 = all arrays).
   int maxFailuresPerTrial = 0;
 
-  /// Worker threads for the trials. Trial t draws from the counter-based
-  /// stream Rng(seed, t) and runs its own Session, so the samples are
-  /// bit-identical for every thread count (including 1).
+  /// The trials run in the shared trial loop (checkpoint/trial_loop.h):
+  /// trial t draws from Rng(seed, t) and runs its own Session, so samples,
+  /// policy outcomes and a resumed run are bit-identical for every thread
+  /// count and checkpoint cadence. Neither `parallelism` nor `checkpoint`
+  /// joins the snapshot config key.
   Parallelism parallelism;
-
-  /// Crash-safe periodic snapshots of completed trials + resume
-  /// (DESIGN.md §5.8). Because trial t is a pure function of
-  /// (model, options, t), a resumed run re-derives exactly the missing
-  /// trials and is bit-identical to an uninterrupted run at any thread
-  /// count and checkpoint cadence. Like `parallelism`, deliberately NOT
-  /// part of the snapshot config key.
   checkpoint::Options checkpoint;
 
-  /// What happens when a trial's DC solve fails past recovery: kAbort
-  /// rethrows (whole run fails), kDiscard drops the trial from the sample
-  /// set (counted in `discardedTrials`), kSalvage keeps the time reached so
-  /// far as a censored TTF sample (counted in `salvagedTrials`). Trial
-  /// status is a pure function of (model, options, trial), so the
-  /// accounting is bit-identical across thread counts. Also threaded into
-  /// each trial Session via the model config's own policy.
+  /// A trial whose DC solve fails past recovery is rethrown (kAbort),
+  /// dropped (kDiscard, counted in `discardedTrials`), or kept with the
+  /// time reached as a censored TTF sample (kSalvage, `salvagedTrials`).
   fault::FailurePolicy policy;
 
   /// Optional per-trial wire-EM audit (off when `wireEm.trees` is null).

@@ -353,6 +353,11 @@ double tuneNominalIrDrop(Netlist& netlist, double targetFraction,
   VIADUCT_REQUIRE(targetFraction > 0.0 && targetFraction < 1.0);
   const PowerGridModel model(netlist, config);
   const auto sol = model.solveNominal();
+  // A failed solve reports +inf IR drop, which would scale every load to 0.
+  if (!sol.solverOk) {
+    throw NumericalError("IR-drop tuning: nominal DC solve failed: " +
+                         sol.solverError);
+  }
   VIADUCT_REQUIRE_MSG(sol.worstIrDrop > 0.0,
                       "grid has no IR drop; nothing to tune");
   const double factor = targetFraction * model.vdd() / sol.worstIrDrop;

@@ -5,12 +5,11 @@
 #include <limits>
 #include <sstream>
 
+#include "checkpoint/trial_loop.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/progress.h"
 #include "em/korhonen.h"
-#include "fault/fault.h"
 #include "fea/thermo_solver.h"
 #include "obs/obs.h"
 #include "structures/probes.h"
@@ -348,114 +347,65 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng,
 }
 
 const std::vector<FailureTrace>& ViaArrayCharacterizer::traces() {
-  if (!tracesReady_) {
-    traces_.assign(static_cast<std::size_t>(spec_.trials), FailureTrace{});
-    enum class TrialStatus : unsigned char { kKept, kDiscarded, kSalvaged };
-    std::vector<TrialStatus> status(static_cast<std::size_t>(spec_.trials),
-                                    TrialStatus::kKept);
+  if (tracesReady_) return traces_;
+  traces_.assign(static_cast<std::size_t>(spec_.trials), FailureTrace{});
 
-    // Checkpoint/resume: restore completed trials (trace payload AND
-    // discard/salvage status), then run only what is missing. Snapshots
-    // are keyed on cacheKey(), so any physics change rejects them.
-    checkpoint::TrialRecorder recorder(spec_.checkpoint, spec_.cacheKey(),
-                                       spec_.trials);
-    std::vector<unsigned char> done(static_cast<std::size_t>(spec_.trials), 0);
-    const std::size_t viaCount = vias_.size();
-    for (const auto& [trial, record] : recorder.restore()) {
-      const auto idx = static_cast<std::size_t>(trial);
-      const std::size_t n = record.primary.size();
-      const bool shapeOk =
-          n == record.secondary.size() &&
-          (record.outcome == checkpoint::TrialOutcome::kKept
-               ? n == viaCount
-               : record.outcome == checkpoint::TrialOutcome::kDiscarded
-                     ? n == 0
-                     : n <= viaCount);
-      if (!shapeOk) {
-        VIADUCT_WARN << "checkpoint: trial " << trial
-                     << " has an unexpected trace shape; re-running it";
-        continue;
-      }
-      traces_[idx].failureTimes = record.primary;
-      traces_[idx].resistanceAfter = record.secondary;
-      status[idx] =
-          record.outcome == checkpoint::TrialOutcome::kDiscarded
-              ? TrialStatus::kDiscarded
-              : record.outcome == checkpoint::TrialOutcome::kSalvaged
-                    ? TrialStatus::kSalvaged
-                    : TrialStatus::kKept;
-      done[idx] = 1;
-      ++resumedTrials_;
-    }
+  // Level 1's side of the trial loop: a trial's payload is its trace.
+  struct ViaTrials {
+    ViaArrayCharacterizer& self;
 
-    ThreadPool pool(spec_.parallelism);
-    ProgressReporter::Options progressOptions;
-    if (recorder.enabled())
-      progressOptions.checkpointAgeSeconds = [&recorder] {
-        return recorder.secondsSinceLastWrite();
-      };
-    ProgressReporter progress("viaarray", spec_.trials,
-                              std::move(progressOptions));
-    progress.seedCompleted(resumedTrials_);
-    // Each trial draws from its own counter-based stream Rng(seed, t), so
-    // the trial→sample mapping never depends on scheduling and the traces
-    // are bit-identical for any thread count (and for any resumed subset).
-    // The fault ScopedStream pins armed injection sites to the same
-    // per-trial stream, making the discard/salvage pattern equally
-    // scheduling-independent.
-    pool.parallelFor(0, spec_.trials, 1, [&](std::int64_t trial) {
-      const auto idx = static_cast<std::size_t>(trial);
-      if (done[idx]) return;  // restored from the checkpoint
-      const fault::ScopedStream scope(static_cast<std::uint64_t>(trial));
-      Rng rng(spec_.seed, static_cast<std::uint64_t>(trial));
-      try {
-        simulateTrial(rng, traces_[idx]);
-      } catch (const NumericalError&) {
-        if (!spec_.policy.enabled ||
-            spec_.policy.trialPolicy ==
-                fault::FailurePolicy::TrialPolicy::kAbort) {
-          throw;
-        }
-        if (spec_.policy.trialPolicy ==
-            fault::FailurePolicy::TrialPolicy::kSalvage) {
-          // Keep the via failures recorded before the solve failed: a
-          // truncated but valid prefix of the trace.
-          status[idx] = TrialStatus::kSalvaged;
-        } else {
-          traces_[idx] = FailureTrace{};
-          status[idx] = TrialStatus::kDiscarded;
-        }
+    // A restored trace is used only if simulateTrial() could have produced
+    // it: a kept trial failed every via, a discarded one none, a salvaged
+    // one a prefix; failure times are finite, >= 0 and non-decreasing, and
+    // resistances positive (+inf after the last via opens).
+    bool restore(const checkpoint::TrialRecord& record) {
+      using checkpoint::TrialOutcome;
+      const auto& times = record.primary;
+      const std::size_t n = times.size(), vias = self.vias_.size();
+      if (n != record.secondary.size() || n > vias ||
+          (record.outcome == TrialOutcome::kKept && n != vias) ||
+          (record.outcome == TrialOutcome::kDiscarded && n != 0))
+        return false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double earlier = i > 0 ? times[i - 1] : 0.0;
+        if (!std::isfinite(times[i]) || times[i] < earlier ||
+            !(record.secondary[i] > 0.0))
+          return false;
       }
-      recorder.record(
-          {trial,
-           status[idx] == TrialStatus::kDiscarded
-               ? checkpoint::TrialOutcome::kDiscarded
-               : status[idx] == TrialStatus::kSalvaged
-                     ? checkpoint::TrialOutcome::kSalvaged
-                     : checkpoint::TrialOutcome::kKept,
-           traces_[idx].failureTimes, traces_[idx].resistanceAfter});
-      progress.trialDone(status[idx] == TrialStatus::kDiscarded ? 1 : 0,
-                         status[idx] == TrialStatus::kSalvaged ? 1 : 0);
-    });
-    recorder.finalize();
-    for (const TrialStatus s : status) {
-      if (s == TrialStatus::kDiscarded) ++discardedTrials_;
-      if (s == TrialStatus::kSalvaged) ++salvagedTrials_;
+      auto& trace = self.traces_[static_cast<std::size_t>(record.trial)];
+      trace = {times, record.secondary};
+      return true;
     }
-    if (discardedTrials_ > 0) {
-      VIADUCT_COUNTER_ADD("viaarray.trials_discarded", discardedTrials_);
+    checkpoint::NoScratch newScratch() const { return {}; }
+    // A salvaged trial keeps the via failures recorded before the solve
+    // failed: a truncated but valid prefix of the trace.
+    void run(std::int64_t trial, Rng& rng, checkpoint::NoScratch&) {
+      self.simulateTrial(rng, self.traces_[static_cast<std::size_t>(trial)]);
     }
-    if (salvagedTrials_ > 0) {
-      VIADUCT_COUNTER_ADD("viaarray.trials_salvaged", salvagedTrials_);
+    void pack(checkpoint::TrialRecord& record) const {
+      if (record.outcome == checkpoint::TrialOutcome::kDiscarded) return;
+      const auto& t = self.traces_[static_cast<std::size_t>(record.trial)];
+      record.primary = t.failureTimes;
+      record.secondary = t.resistanceAfter;
     }
-    if (discardedTrials_ > 0 || salvagedTrials_ > 0) {
-      VIADUCT_INFO << "via-array MC: "
-                   << spec_.trials - discardedTrials_ - salvagedTrials_ << "/"
-                   << spec_.trials << " trials clean (" << discardedTrials_
-                   << " discarded, " << salvagedTrials_ << " salvaged)";
-    }
-    tracesReady_ = true;
+  };
+
+  // Snapshots are keyed on cacheKey(), so any physics change rejects them.
+  ViaTrials trials{*this};
+  const checkpoint::TrialTally tally = checkpoint::runTrialLoop(
+      {.label = "viaarray", .configKey = spec_.cacheKey(),
+       .trials = spec_.trials, .seed = spec_.seed, .grain = 1,
+       .parallelism = spec_.parallelism, .policy = spec_.policy,
+       .checkpoint = spec_.checkpoint},
+      trials);
+  for (std::size_t t = 0; t < traces_.size(); ++t) {
+    if (tally.outcomes[t] == checkpoint::TrialOutcome::kDiscarded)
+      traces_[t] = FailureTrace{};  // discarded trials leave empty traces
   }
+  discardedTrials_ = tally.discarded;
+  salvagedTrials_ = tally.salvaged;
+  resumedTrials_ = tally.resumed;
+  tracesReady_ = true;
   return traces_;
 }
 

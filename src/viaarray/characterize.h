@@ -105,24 +105,15 @@ struct ViaArrayCharacterizationSpec {
   int trials = 500;
   std::uint64_t seed = 12345;
 
-  /// Worker threads for the FEA solve and the Monte Carlo trials. Trial t
-  /// draws from the counter-based stream Rng(seed, t) and the FEA kernels
-  /// chunk with fixed grains, so results are bit-identical for every
-  /// thread count — which is why this is deliberately NOT part of
-  /// cacheKey().
+  /// Worker threads, failure policy (FEA retry ladder, per-trial
+  /// salvage/discard, cache-corruption recovery) and snapshots of the
+  /// Monte Carlo, which runs in the shared trial loop
+  /// (checkpoint/trial_loop.h) with snapshots keyed on cacheKey(). None of
+  /// the three is part of cacheKey(): results are bit-identical for every
+  /// thread count and checkpoint cadence, and the policy governs recovery,
+  /// never the physics.
   Parallelism parallelism;
-
-  /// Failure policy: FEA retry ladder, per-trial salvage/discard semantics
-  /// in the failure Monte Carlo, and cache-corruption recovery in
-  /// ViaArrayLibrary. Like `parallelism`, deliberately NOT part of
-  /// cacheKey() — the policy only governs recovery, never the physics.
   fault::FailurePolicy policy;
-
-  /// Crash-safe periodic snapshots of completed Monte Carlo trials +
-  /// resume (DESIGN.md §5.8). Snapshots are keyed on cacheKey(), so a
-  /// stale snapshot is rejected, never silently resumed. Like
-  /// `parallelism`, deliberately NOT part of cacheKey() — a resumed run is
-  /// bit-identical to an uninterrupted one.
   checkpoint::Options checkpoint;
 
   /// Total array current [A] implied by the density and effective area.

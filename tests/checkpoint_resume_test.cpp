@@ -10,12 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
 #include "fault/fault.h"
 #include "grid/grid_mc.h"
+#include "obs/obs.h"
 #include "spice/generator.h"
 #include "viaarray/characterize.h"
 
@@ -214,6 +216,38 @@ TEST_F(CheckpointResumeTest, DiscardAndSalvageCountsSurviveResume) {
   }
 }
 
+TEST_F(CheckpointResumeTest, GridOutOfRangeRecordIsRerun) {
+  const auto& model = mcModel();
+  auto opts = mcOptions();
+  opts.checkpoint.path = path_;
+  const auto baseline = runGridMonteCarlo(model, opts);
+
+  // Structurally valid records whose values no trial can produce: a
+  // negative TTF with a failure count past int range, a fractional failure
+  // count, and more failures than the grid has arrays. Each must be re-run,
+  // never resumed (and never cast to int).
+  const std::string key = gridMcCheckpointKey(model, opts);
+  const checkpoint::CheckpointFile file(path_);
+  auto snap = file.load(key, opts.trials);
+  ASSERT_TRUE(snap.has_value());
+  snap->trials.at(1).primary = {-1e30, 3e9};
+  snap->trials.at(2).primary[1] = 2.5;
+  snap->trials.at(3).primary[1] =
+      static_cast<double>(model.viaArrays().size() + 1);
+  ASSERT_TRUE(file.write(*snap));
+
+  opts.checkpoint.resume = true;
+  auto& resumedCounter =
+      obs::Registry::instance().counter("checkpoint.resumed_trials");
+  const auto countedBefore = resumedCounter.value();
+  const auto resumed = runGridMonteCarlo(model, opts);
+  EXPECT_EQ(resumed.resumedTrials, opts.trials - 3);
+  // The counter reports the records actually resumed, not those loaded.
+  EXPECT_EQ(resumedCounter.value() - countedBefore,
+            static_cast<std::uint64_t>(opts.trials - 3));
+  expectSameSamples(baseline, resumed);
+}
+
 // ---------------------------------------------------------------------------
 // Level 1: via-array characterization.
 
@@ -286,6 +320,31 @@ TEST_F(CheckpointResumeTest, CharacterizationMalformedRecordIsRerun) {
   ViaArrayCharacterizer resumed(resumeSpec);
   expectSameTraces(baseTraces, resumed.traces());
   EXPECT_EQ(resumed.resumedTrials(), spec.trials - 1);
+}
+
+TEST_F(CheckpointResumeTest, CharacterizationImplausibleTraceIsRerun) {
+  const auto spec = smallSpec();
+  auto withCkpt = spec;
+  withCkpt.checkpoint.path = path_;
+  ViaArrayCharacterizer full(withCkpt);
+  const auto baseTraces = full.traces();
+
+  // Right shape, impossible values: a negative failure time, failure times
+  // out of order, and a negative resistance. Each record must be re-run.
+  const checkpoint::CheckpointFile file(path_);
+  auto snap = file.load(spec.cacheKey(), spec.trials);
+  ASSERT_TRUE(snap.has_value());
+  snap->trials.at(3).primary[0] = -1.0;
+  auto& times = snap->trials.at(5).primary;
+  std::swap(times.front(), times.back());
+  snap->trials.at(7).secondary[0] = -1.0;
+  ASSERT_TRUE(file.write(*snap));
+
+  auto resumeSpec = withCkpt;
+  resumeSpec.checkpoint.resume = true;
+  ViaArrayCharacterizer resumed(resumeSpec);
+  expectSameTraces(baseTraces, resumed.traces());
+  EXPECT_EQ(resumed.resumedTrials(), spec.trials - 3);
 }
 
 }  // namespace

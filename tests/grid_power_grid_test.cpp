@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "fault/fault.h"
@@ -202,6 +203,28 @@ TEST(TuneNominalIrDrop, HitsTarget) {
   EXPECT_GT(factor, 0.0);
   const PowerGridModel model(n);
   EXPECT_NEAR(model.solveNominal().worstIrDropFraction, 0.06, 1e-9);
+}
+
+TEST(TuneNominalIrDrop, FailedNominalSolveIsANumericalError) {
+  // A failed solve reports +inf IR drop; tuning must not turn that into a
+  // zero load scale (or an internal assertion) but surface the solver error.
+  Netlist n = smallGrid(1.0);
+  const double before = n.currentSources().front().amps;
+  auto& faults = fault::Registry::instance();
+  faults.arm("woodbury.solve", {.nth = 1});
+  const std::string solverError = PowerGridModel(n).solveNominal().solverError;
+  ASSERT_FALSE(solverError.empty());
+  faults.disarmAll();
+  faults.arm("woodbury.solve", {.nth = 1});
+  try {
+    tuneNominalIrDrop(n, 0.06);
+    ADD_FAILURE() << "expected NumericalError";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find(solverError), std::string::npos)
+        << e.what();
+  }
+  faults.disarmAll();
+  EXPECT_EQ(n.currentSources().front().amps, before) << "loads rescaled";
 }
 
 TEST(TuneNominalIrDrop, RejectsBadFraction) {

@@ -1,21 +1,27 @@
 // Export-surface tests: the reworked Gauge (authoritative set + sharded
 // add), histogram quantiles, the structured registry snapshot, and the
 // OpenMetrics text exposition — including a mini-validator for the format
-// invariants a scraper depends on (TYPE lines, cumulative buckets, the
-// +Inf bucket equaling _count, the "# EOF" terminator) and a
-// snapshot-under-concurrent-writers check.
+// invariants a scraper depends on (TYPE lines, each family declared once,
+// cumulative buckets, the +Inf bucket equaling _count, the "# EOF"
+// terminator) and a snapshot-under-concurrent-writers check.
 #include "obs/export.h"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/units.h"
+#include "fault/fault.h"
+#include "grid/grid_mc.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "spice/generator.h"
 
 namespace viaduct {
 namespace {
@@ -137,7 +143,7 @@ void validateOpenMetrics(const std::string& text) {
 
   std::istringstream in(text);
   std::string line;
-  std::string currentMetric;
+  std::set<std::string> families;
   double lastCumulative = -1.0;
   double bucketCount = -1.0, countValue = -1.0;
   while (std::getline(in, line)) {
@@ -149,7 +155,10 @@ void validateOpenMetrics(const std::string& text) {
       ls >> hash >> type >> name >> kind;
       EXPECT_TRUE(kind == "counter" || kind == "gauge" || kind == "histogram")
           << line;
-      currentMetric = name;
+      // A family is declared once: one name exported as both a counter and
+      // a gauge is an invalid exposition.
+      EXPECT_TRUE(families.insert(name).second)
+          << "repeated metric family: " << line;
       lastCumulative = -1.0;
       continue;
     }
@@ -181,7 +190,47 @@ void validateOpenMetrics(const std::string& text) {
       bucketCount = -1.0;
     }
   }
-  (void)currentMetric;
+}
+
+TEST_F(ObsExportTest, ValidatorRejectsARepeatedFamily) {
+  EXPECT_NONFATAL_FAILURE(
+      validateOpenMetrics("# TYPE viaduct_x counter\nviaduct_x_total 1\n"
+                          "# TYPE viaduct_x gauge\nviaduct_x 1\n# EOF\n"),
+      "repeated metric family");
+}
+
+TEST_F(ObsExportTest, GridMcWithDiscardedTrialsIsValidOpenMetrics) {
+  // The discard/salvage tallies of a Monte Carlo run are exported once, as
+  // progress gauges, never also as counters of the same name.
+  GridGeneratorConfig cfg;
+  cfg.stripesX = 8;
+  cfg.stripesY = 8;
+  cfg.padCount = 4;
+  cfg.totalCurrentAmps = 1.0;
+  cfg.seed = 11;
+  Netlist netlist = generatePowerGrid(cfg);
+  tuneNominalIrDrop(netlist, 0.06);
+  const PowerGridModel model(netlist);
+  GridMcOptions opts;
+  opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
+  opts.trials = 30;
+  opts.seed = 5;
+  auto& faults = fault::Registry::instance();
+  faults.setSeed(99);
+  faults.arm("cholesky.factor", {.probability = 0.25});
+  const GridMcResult result = runGridMonteCarlo(model, opts);
+  faults.disarmAll();
+  faults.setSeed(0);
+  ASSERT_GT(result.discardedTrials, 0);
+
+  const std::string text = obs::openMetricsText();
+  validateOpenMetrics(text);
+  EXPECT_NE(text.find("# TYPE viaduct_grid_mc_trials_discarded gauge"),
+            std::string::npos);
+  EXPECT_NE(text.find("viaduct_grid_mc_trials_discarded " +
+                      std::to_string(result.discardedTrials)),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(ObsExportTest, OpenMetricsTextIsValid) {

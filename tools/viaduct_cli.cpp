@@ -61,13 +61,56 @@ Netlist loadGrid(const std::string& netlistPath, const std::string& preset) {
   return generatePgBenchmark(presetFlag(preset));
 }
 
-FeaPreconditionerKind feaPrecondFlag(const std::string& name) {
-  const auto kind = parseFeaPreconditionerName(name);
-  if (!kind)
-    throw PreconditionError("unknown --fea-precond '" + name +
-                            "' (mg, ic0, or bj)");
-  return *kind;
-}
+/// The run-control flags `analyze` and `characterize` share: the
+/// characterization cache, worker threads, checkpoint/resume, the FEA
+/// preconditioner and the stress-primitive store.
+struct RunFlags {
+  std::string cachePath, checkpointPath, primitiveStorePath;
+  std::string feaPrecond = "mg";
+  int threads = 0, checkpointEvery = 32;
+  bool resume = false;
+
+  /// `checkpointHelp` is the one help line the two subcommands word
+  /// differently.
+  void declare(CliFlags& flags, const std::string& checkpointHelp) {
+    flags.addString("cache", &cachePath, "characterization cache file");
+    flags.addInt("threads", &threads,
+                 "worker threads (0 = hardware concurrency); results are "
+                 "identical for any value");
+    flags.addString("checkpoint", &checkpointPath, checkpointHelp);
+    flags.addInt("checkpoint-every", &checkpointEvery,
+                 "snapshot every N completed trials (<= 0: only at run end)");
+    flags.addBool("resume", &resume,
+                  "resume completed trials from --checkpoint (stale or "
+                  "corrupt snapshots are rejected and re-run)");
+    flags.addString("fea-precond", &feaPrecond,
+                    "FEA stress-solve preconditioner: mg (geometric "
+                    "multigrid, fastest), ic0, or bj (seed baseline)");
+    flags.addString("primitive-store", &primitiveStorePath,
+                    "on-disk FEA stress-primitive store; a warm store "
+                    "characterizes with zero FEA solves");
+  }
+
+  /// Applies the flags to `run` (an AnalyzerConfig or a characterization
+  /// spec) and the FEA ones to the characterization `spec`.
+  template <typename Run>
+  void applyTo(Run& run, ViaArrayCharacterizationSpec& spec) const {
+    if (resume && checkpointPath.empty())
+      throw PreconditionError("--resume needs --checkpoint <path>");
+    run.parallelism.threads = threads;
+    run.checkpoint = {.path = checkpointPath,
+                      .everyTrials = checkpointEvery,
+                      .resume = resume};
+    const auto kind = parseFeaPreconditionerName(feaPrecond);
+    if (!kind)
+      throw PreconditionError("unknown --fea-precond '" + feaPrecond +
+                              "' (mg, ic0, or bj)");
+    spec.feaPreconditioner = *kind;
+    if (!primitiveStorePath.empty())
+      spec.primitiveStore =
+          std::make_shared<StressPrimitiveStore>(primitiveStorePath);
+  }
+};
 
 int cmdGenerate(int argc, const char* const* argv) {
   std::string preset = "PG1";
@@ -101,14 +144,13 @@ int cmdGenerate(int argc, const char* const* argv) {
 
 int cmdAnalyze(int argc, const char* const* argv) {
   std::string netlistPath, preset = "PG1", arrayCrit = "open",
-                           systemCrit = "ir", cachePath, checkpointPath,
-                           feaPrecond = "mg", primitiveStorePath;
-  int viaN = 4, trials = 300, charTrials = 300, threads = 0,
-      checkpointEvery = 32;
-  bool resume = false, wireAudit = false;
+              systemCrit = "ir";
+  int viaN = 4, trials = 300, charTrials = 300;
+  bool wireAudit = false;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
   std::string gridSolver = "uplooking", gridOrdering = "rcm",
               emMode = "steady";
+  RunFlags run;
   CliFlags flags("viaduct_cli analyze: two-level EM TTF analysis");
   flags.addString("netlist", &netlistPath, "SPICE netlist (overrides preset)");
   flags.addString("preset", &preset, "PG1/PG2/PG5");
@@ -119,24 +161,9 @@ int cmdAnalyze(int argc, const char* const* argv) {
   flags.addInt("trials", &trials, "grid Monte Carlo trials");
   flags.addInt("char-trials", &charTrials, "characterization trials");
   flags.addDouble("tune-ir", &tuneIr, "nominal IR-drop tuning target");
-  flags.addString("cache", &cachePath, "characterization cache file");
-  flags.addInt("threads", &threads,
-               "worker threads (0 = hardware concurrency); results are "
-               "identical for any value");
-  flags.addString("checkpoint", &checkpointPath,
-                  "crash-safe snapshot file for both MC levels (empty = "
-                  "disabled); results are identical with or without it");
-  flags.addInt("checkpoint-every", &checkpointEvery,
-               "snapshot every N completed trials (<= 0: only at run end)");
-  flags.addBool("resume", &resume,
-                "resume completed trials from --checkpoint (stale or "
-                "corrupt snapshots are rejected and re-run)");
-  flags.addString("fea-precond", &feaPrecond,
-                  "FEA stress-solve preconditioner: mg (geometric multigrid, "
-                  "fastest), ic0, or bj (seed baseline)");
-  flags.addString("primitive-store", &primitiveStorePath,
-                  "on-disk FEA stress-primitive store; a warm store "
-                  "characterizes with zero FEA solves");
+  run.declare(flags,
+              "crash-safe snapshot file for both MC levels (empty = "
+              "disabled); results are identical with or without it");
   flags.addString("grid-solver", &gridSolver,
                   "direct solver for the grid system: uplooking|supernodal "
                   "(supernodal+amd scales to ~1e6-node meshes)");
@@ -161,22 +188,13 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.viaArraySize = viaN;
   config.trials = trials;
   config.characterization.trials = charTrials;
-  config.characterization.feaPreconditioner = feaPrecondFlag(feaPrecond);
-  if (!primitiveStorePath.empty())
-    config.characterization.primitiveStore =
-        std::make_shared<StressPrimitiveStore>(primitiveStorePath);
+  run.applyTo(config, config.characterization);
   config.tuneNominalIrDropFraction = tuneIr;
-  config.parallelism.threads = threads;
-  config.checkpoint.path = checkpointPath;
-  config.checkpoint.everyTrials = checkpointEvery;
-  config.checkpoint.resume = resume;
-  if (resume && checkpointPath.empty())
-    throw PreconditionError("--resume needs --checkpoint <path>");
   config.wireEmAudit = wireAudit;
   config.emMode = parseSignoffMode(emMode);
   config.wireStressMarginPa = wireMarginMpa * units::MPa;
 
-  auto library = openViaArrayLibrary(cachePath);
+  auto library = openViaArrayLibrary(run.cachePath);
   PowerGridEmAnalyzer analyzer(loadGrid(netlistPath, preset), config,
                                library);
 
@@ -209,7 +227,8 @@ int cmdAnalyze(int argc, const char* const* argv) {
   }
   if (report.resumedTrials > 0) {
     std::cout << "checkpoint: resumed " << report.resumedTrials << "/"
-              << trials << " grid trials from " << checkpointPath << "\n";
+              << trials << " grid trials from " << run.checkpointPath
+              << "\n";
   }
   if (wireAudit) {
     std::cout << "wire-EM audit (" << emMode << "): "
@@ -221,54 +240,29 @@ int cmdAnalyze(int argc, const char* const* argv) {
 }
 
 int cmdCharacterize(int argc, const char* const* argv) {
-  int n = 4, trials = 500, threads = 0, checkpointEvery = 32;
-  bool resume = false;
-  std::string pattern = "Plus", criterion = "open", cachePath, checkpointPath,
-              feaPrecond = "mg", primitiveStorePath;
+  int n = 4, trials = 500;
+  std::string pattern = "Plus", criterion = "open";
+  RunFlags run;
   CliFlags flags("viaduct_cli characterize: level-1 via-array TTF");
   flags.addInt("n", &n, "via array dimension");
   flags.addString("pattern", &pattern, "Plus, T, or L");
   flags.addString("criterion", &criterion, "open, weakest, <k>, or <r>x");
   flags.addInt("trials", &trials, "Monte Carlo trials");
-  flags.addString("cache", &cachePath, "characterization cache file");
-  flags.addInt("threads", &threads,
-               "worker threads (0 = hardware concurrency); results are "
-               "identical for any value");
-  flags.addString("checkpoint", &checkpointPath,
-                  "crash-safe snapshot file for the characterization Monte "
-                  "Carlo (empty = disabled)");
-  flags.addInt("checkpoint-every", &checkpointEvery,
-               "snapshot every N completed trials (<= 0: only at run end)");
-  flags.addBool("resume", &resume,
-                "resume completed trials from --checkpoint (stale or "
-                "corrupt snapshots are rejected and re-run)");
-  flags.addString("fea-precond", &feaPrecond,
-                  "FEA stress-solve preconditioner: mg (geometric multigrid, "
-                  "fastest), ic0, or bj (seed baseline)");
-  flags.addString("primitive-store", &primitiveStorePath,
-                  "on-disk FEA stress-primitive store; a warm store "
-                  "characterizes with zero FEA solves");
+  run.declare(flags,
+              "crash-safe snapshot file for the characterization Monte "
+              "Carlo (empty = disabled)");
   if (!flags.parse(argc, argv)) return 0;
 
   ViaArrayCharacterizationSpec spec;
   spec.array.n = n;
-  spec.feaPreconditioner = feaPrecondFlag(feaPrecond);
-  if (!primitiveStorePath.empty())
-    spec.primitiveStore =
-        std::make_shared<StressPrimitiveStore>(primitiveStorePath);
   const auto pat = parseIntersectionPattern(pattern);
   if (!pat)
     throw PreconditionError("bad --pattern '" + pattern + "' (Plus, T, or L)");
   spec.pattern = *pat;
   spec.trials = trials;
-  spec.parallelism.threads = threads;
-  spec.checkpoint.path = checkpointPath;
-  spec.checkpoint.everyTrials = checkpointEvery;
-  spec.checkpoint.resume = resume;
-  if (resume && checkpointPath.empty())
-    throw PreconditionError("--resume needs --checkpoint <path>");
+  run.applyTo(spec, spec);
 
-  auto ch = openViaArrayLibrary(cachePath)->get(spec);
+  auto ch = openViaArrayLibrary(run.cachePath)->get(spec);
   const auto critParsed = ViaArrayFailureCriterion::parse(criterion);
   if (!critParsed)
     throw PreconditionError("bad --criterion '" + criterion +
@@ -284,7 +278,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
             << ", sigma=" << TextTable::num(fit.sigma(), 3) << ")\n";
   if (ch->resumedTrials() > 0) {
     std::cout << "  checkpoint: resumed " << ch->resumedTrials() << "/"
-              << trials << " trials from " << checkpointPath << "\n";
+              << trials << " trials from " << run.checkpointPath << "\n";
   }
   return 0;
 }
