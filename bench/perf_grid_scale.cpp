@@ -24,10 +24,15 @@
 // supernodal+AMD at the sizes where the banded factor is still tractable,
 // and verifies the shared-base Monte Carlo is bit-identical across thread
 // counts.
+// It times Woodbury's x0 − Z·y pass (subtractScaledColumns) with the plain
+// and, where the CPU has it, the AVX2 kernel over up to 1.5 MB of the
+// model's incidence columns (woodbury_apply_gmac_per_s, with the kernel this CPU
+// runs as woodbury_apply_kernel), and checks that a Session opening a
+// sequence of arrays gives bit-identical voltages under both kernels.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
-// the parity, speedup, solves-per-failure and seeded-column bit-identity
-// gates; tier-1 runs it on every commit.
+// the parity, speedup, solves-per-failure, seeded-column and Woodbury-kernel
+// bit-identity gates; tier-1 runs it on every commit.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -47,6 +52,7 @@
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
 #include "numerics/supernodal_cholesky.h"
+#include "numerics/woodbury.h"
 #include "obs/obs.h"
 
 using namespace viaduct;
@@ -82,6 +88,15 @@ struct Point {
   double solvesPerFailure = 0.0;
   double columnHitRatio = 0.0;
   double parityMaxRelDiff = -1.0;  // -1: not measured at this size
+  // Woodbury x0 − Z·y pass: multiply-adds per second for each kernel (the
+  // AVX2 one -1 when this CPU lacks AVX2) over `applyColumns` columns, the
+  // kernel production runs here, and whether a Session's voltages after
+  // each of a sequence of opens were bit-identical under both kernels.
+  double applyGmacPlain = 0.0;
+  double applyGmacAvx2 = -1.0;
+  int applyColumns = 0;
+  int applyKernel = 0;
+  bool applyKernelsIdentical = true;
   bool deterministicAcrossThreads = true;
   // EM-mode axis (DESIGN.md §5.14): the wire-EM audit is diagnostic-only,
   // so TTF samples must be bit-identical across steady/transient/hybrid
@@ -148,6 +163,62 @@ void measureIncidenceSolves(const PowerGridModel& model, Point& p) {
   p.incidenceSeededMs = median(seededMs);
   p.incidenceDenseMs = median(denseMs);
   p.forwardReachFraction = median(reach);
+}
+
+/// Times subtractScaledColumns with each kernel over the incidence columns
+/// of up to 64 arrays, as many as fit in 1.5 MB (PG5's ~90 pending columns
+/// of 2048 nodes, so the pass runs from cache as it does there), and
+/// compares a Session's
+/// voltages under the two kernels after each of a sequence of opens.
+void measureApplyKernels(const PowerGridModel& model, Point& p) {
+  const std::size_t n = static_cast<std::size_t>(model.unknownCount());
+  const int arrays = static_cast<int>(model.viaArrays().size());
+  const int k = std::clamp(static_cast<int>((std::size_t{3} << 19) / 8 / n),
+                           1, std::min(64, arrays));
+  std::vector<std::vector<double>> z;
+  std::vector<ScaledColumn> columns;
+  for (int m = 0; m < k; ++m) {
+    const ViaArraySite& site = model.viaArrays()[m * arrays / k];
+    z.push_back(model.baseFactor()->solveIncidence(site.a, site.b));
+    columns.push_back({z.back().data(), 1.0 / (m + 1.0)});
+  }
+  const std::vector<double> x0 = model.solveNominal().voltages;
+  std::vector<double> x(n);
+  const int reps =
+      std::max(3, static_cast<int>(2e8 / (static_cast<double>(n) * k)));
+  const auto gmac = [&](WoodburyKernel kernel) {
+    subtractScaledColumns(kernel, x0, columns, x);  // warm the columns
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r)
+      subtractScaledColumns(kernel, x0, columns, x);
+    return static_cast<double>(n) * k * reps / seconds(t0) / 1e9;
+  };
+  p.applyColumns = k;
+  p.applyKernel = static_cast<int>(WoodburySolver::applyKernel());
+  p.applyGmacPlain = gmac(WoodburyKernel::kPlain);
+  if (bestWoodburyKernel() != WoodburyKernel::kAvx2) return;
+  p.applyGmacAvx2 = gmac(WoodburyKernel::kAvx2);
+
+  const auto opens = [&](WoodburyKernel kernel) {
+    WoodburySolver::setApplyKernelForTesting(kernel);
+    PowerGridModel::Session session(model);
+    std::vector<double> voltages;
+    for (int m = 0; m < k; ++m) {
+      session.openArray(m * arrays / k);
+      const auto sol = session.solve();
+      VIADUCT_CHECK(sol.solverOk);
+      voltages.insert(voltages.end(), sol.voltages.begin(),
+                      sol.voltages.end());
+    }
+    return voltages;
+  };
+  const std::vector<double> plain = opens(WoodburyKernel::kPlain);
+  const std::vector<double> avx2 = opens(WoodburyKernel::kAvx2);
+  WoodburySolver::setApplyKernelForTesting(bestWoodburyKernel());
+  p.applyKernelsIdentical =
+      plain.size() == avx2.size() &&
+      std::memcmp(plain.data(), avx2.data(),
+                  plain.size() * sizeof(double)) == 0;
 }
 
 GridMcOptions mcOptions(int trials, int maxFailures) {
@@ -223,6 +294,7 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
     p.perFailureSeconds = seconds(t0) / static_cast<double>(arrays.size());
   }
   measureIncidenceSolves(model, p);
+  measureApplyKernels(model, p);
 
   // End-to-end Monte Carlo, shared base.
   auto& registry = obs::Registry::instance();
@@ -331,6 +403,16 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"solves_per_failure\": " << p.solvesPerFailure
      << ", \"column_hit_ratio\": " << p.columnHitRatio
      << ", \"parity_max_rel_diff\": " << p.parityMaxRelDiff
+     << ", \"woodbury_apply_gmac_per_s\": {\"plain\": " << p.applyGmacPlain
+     << ", \"avx2\": ";
+  if (p.applyGmacAvx2 >= 0.0)
+    os << p.applyGmacAvx2;
+  else
+    os << "null";
+  os << "}, \"woodbury_apply_columns\": " << p.applyColumns
+     << ", \"woodbury_apply_kernel\": " << p.applyKernel
+     << ", \"woodbury_kernels_identical\": "
+     << (p.applyKernelsIdentical ? "true" : "false")
      << ", \"deterministic_across_threads\": "
      << (p.deterministicAcrossThreads ? "true" : "false")
      << ", \"em_mode_trials\": " << p.emTrials
@@ -385,7 +467,9 @@ int main(int argc, char** argv) {
               << " solves/failure, column hit ratio " << p.columnHitRatio
               << ", incidence column " << p.incidenceSeededMs
               << " ms seeded vs " << p.incidenceDenseMs << " ms dense (reach "
-              << p.forwardReachFraction << ")";
+              << p.forwardReachFraction << "), x0-Z*y " << p.applyGmacPlain
+              << " GMAC/s plain vs " << p.applyGmacAvx2 << " AVX2 (k="
+              << p.applyColumns << ", kernel " << p.applyKernel << ")";
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";
@@ -428,6 +512,12 @@ int main(int argc, char** argv) {
     if (!p.incidenceBitIdentical) {
       std::cerr << "FAIL: a seeded incidence column differs from its dense "
                    "solve at n="
+                << p.nodes << "\n";
+      pass = false;
+    }
+    if (!p.applyKernelsIdentical) {
+      std::cerr << "FAIL: Session voltages differ between the plain and AVX2 "
+                   "Woodbury kernels at n="
                 << p.nodes << "\n";
       pass = false;
     }

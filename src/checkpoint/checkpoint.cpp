@@ -227,11 +227,12 @@ TrialRecorder::TrialRecorder(const Options& options, std::string configKey,
   if (options_.enabled()) VIADUCT_REQUIRE(totalTrials >= 1);
 }
 
-std::map<std::int64_t, TrialRecord> TrialRecorder::restore() {
-  if (!options_.enabled() || !options_.resume) return {};
+const std::map<std::int64_t, TrialRecord>& TrialRecorder::restore() {
+  static const std::map<std::int64_t, TrialRecord> kNone;
+  if (!options_.enabled() || !options_.resume) return kNone;
   const CheckpointFile file(options_.path);
   auto snap = file.load(snapshot_.configKey, snapshot_.totalTrials);
-  if (!snap) return {};
+  if (!snap) return kNone;
   std::lock_guard<std::mutex> lock(mutex_);
   snapshot_.trials = std::move(snap->trials);
   resumedTrials_ = static_cast<int>(snapshot_.trials.size());

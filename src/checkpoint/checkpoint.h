@@ -121,8 +121,9 @@ class TrialRecorder {
   /// Loads the snapshot for resume. Returns the usable records (empty when
   /// disabled, not resuming, or the snapshot was missing/stale/corrupt);
   /// the returned records also seed the recorder, so later snapshots keep
-  /// them.
-  std::map<std::int64_t, TrialRecord> restore();
+  /// them. The reference is the recorder's own map: read it before the
+  /// first record().
+  const std::map<std::int64_t, TrialRecord>& restore();
 
   /// Records one completed trial and writes a snapshot when the cadence
   /// fires. Never throws: a failed write warns and the run continues.

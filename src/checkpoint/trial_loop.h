@@ -47,9 +47,6 @@ struct TrialLoopConfig {
   Options checkpoint;
 };
 
-/// Scratch of a level that reuses nothing across trials.
-struct NoScratch {};
-
 struct TrialTally {
   /// Every trial's outcome, restored or run.
   std::vector<TrialOutcome> outcomes;

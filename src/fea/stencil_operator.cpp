@@ -14,14 +14,7 @@ constexpr std::int64_t kNodeGrain = 256;
 }  // namespace
 
 StencilKernel bestStencilKernel() {
-#if VIADUCT_STENCIL_AVX2
-  static const StencilKernel best = __builtin_cpu_supports("avx2")
-                                        ? StencilKernel::kAvx2
-                                        : StencilKernel::kPlain;
-  return best;
-#else
-  return StencilKernel::kPlain;
-#endif
+  return cpuHasAvx2() ? StencilKernel::kAvx2 : StencilKernel::kPlain;
 }
 
 void NodeStencilOperator::setKernelForTesting(StencilKernel kernel) {

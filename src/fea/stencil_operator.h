@@ -40,15 +40,10 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "fea/hex8.h"
 #include "fea/voxel_grid.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define VIADUCT_STENCIL_AVX2 1
-#else
-#define VIADUCT_STENCIL_AVX2 0
-#endif
 
 namespace viaduct {
 
@@ -148,7 +143,7 @@ class NodeStencilOperator {
   [[gnu::flatten]] void sweepRowPlain(std::int64_t row, Finish& finish) const {
     sweepRow(row, finish);
   }
-#if VIADUCT_STENCIL_AVX2
+#if VIADUCT_AVX2_DISPATCH
   template <typename Finish>
   [[gnu::flatten, gnu::target("avx2")]] void sweepRowAvx2(
       std::int64_t row, Finish& finish) const {
@@ -189,7 +184,7 @@ void NodeStencilOperator::sweep(std::span<const double> x,
   };
 
   const std::int64_t rows = static_cast<std::int64_t>(ny_ + 1) * (nz_ + 1);
-#if VIADUCT_STENCIL_AVX2
+#if VIADUCT_AVX2_DISPATCH
   if (kernel_ == StencilKernel::kAvx2) {
     parallelFor(pool_, 0, rows, rowGrain_,
                 [&](std::int64_t row) { sweepRowAvx2(row, finish); });

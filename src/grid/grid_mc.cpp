@@ -175,7 +175,10 @@ void runTrial(const PowerGridModel& model, const GridMcOptions& options,
     }
 
     VIADUCT_COUNTER_ADD("grid_mc.resolves", 1);
-    sol = session.solve();
+    {
+      VIADUCT_SPAN("grid_mc.resolve");
+      sol = session.solve();
+    }
     if (!sol.solverOk) {
       throw NumericalError("grid MC: DC re-solve failed after " +
                            std::to_string(failed + 1) +

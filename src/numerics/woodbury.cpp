@@ -1,9 +1,12 @@
 #include "numerics/woodbury.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <iterator>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 
@@ -22,13 +25,132 @@ double incidence(Index i, Index j, std::span<const double> v) {
          (j >= 0 ? v[static_cast<std::size_t>(j)] : 0.0);
 }
 
+/// L doubles, operated on lane-wise, so each lane computes the scalar IEEE
+/// operation: two (SSE2) in the plain kernel, four in the AVX2 one. Spelled
+/// as specializations because GCC drops vector_size from a dependent alias.
+template <std::size_t L>
+struct LanesOf;
+template <>
+struct LanesOf<2> {
+  typedef double type __attribute__((vector_size(2 * sizeof(double))));
+};
+template <>
+struct LanesOf<4> {
+  typedef double type __attribute__((vector_size(4 * sizeof(double))));
+};
+template <std::size_t L>
+using Lanes = typename LanesOf<L>::type;
+
+/// Rows [r, r + L·V) of subtractScaledColumns: the tile stays in registers
+/// (the vector loops are unrolled so that it does) while every column is
+/// subtracted from it.
+template <std::size_t L, std::size_t V>
+void subtractTile(const double* x0, const ScaledColumn* columns,
+                  std::size_t count, std::size_t r, double* x) {
+  Lanes<L> acc[V];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < V; ++v)
+    __builtin_memcpy(&acc[v], x0 + r + L * v, sizeof(Lanes<L>));
+  for (std::size_t c = 0; c < count; ++c) {
+    const double* z = columns[c].z + r;
+    const double y = columns[c].y;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      Lanes<L> zv;
+      __builtin_memcpy(&zv, z + L * v, sizeof(Lanes<L>));
+      acc[v] -= zv * y;
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < V; ++v)
+    __builtin_memcpy(x + r + L * v, &acc[v], sizeof(Lanes<L>));
+}
+
+/// The body of both kernels: tiles of eight vectors (16 rows plain, 32
+/// AVX2), then one-vector tiles, then single rows.
+template <std::size_t L>
+void subtractRows(const double* x0, const ScaledColumn* columns,
+                  std::size_t count, std::size_t n, double* x) {
+  std::size_t r = 0;
+  for (; r + 8 * L <= n; r += 8 * L)
+    subtractTile<L, 8>(x0, columns, count, r, x);
+  for (; r + L <= n; r += L) subtractTile<L, 1>(x0, columns, count, r, x);
+  for (; r < n; ++r) {
+    double acc = x0[r];
+    for (std::size_t c = 0; c < count; ++c)
+      acc -= columns[c].z[r] * columns[c].y;
+    x[r] = acc;
+  }
+}
+
+[[gnu::flatten]] void subtractRowsPlain(const double* x0,
+                                        const ScaledColumn* columns,
+                                        std::size_t count, std::size_t n,
+                                        double* x) {
+  subtractRows<2>(x0, columns, count, n, x);
+}
+
+#if VIADUCT_AVX2_DISPATCH
+[[gnu::flatten, gnu::target("avx2")]] void subtractRowsAvx2(
+    const double* x0, const ScaledColumn* columns, std::size_t count,
+    std::size_t n, double* x) {
+  subtractRows<4>(x0, columns, count, n, x);
+}
+#endif
+
+/// The applyKernel() a test chose, or −1 for bestWoodburyKernel().
+std::atomic<int> kernelOverride{-1};
+
 }  // namespace
+
+WoodburyKernel bestWoodburyKernel() {
+  return cpuHasAvx2() ? WoodburyKernel::kAvx2 : WoodburyKernel::kPlain;
+}
+
+void subtractScaledColumns(WoodburyKernel kernel, std::span<const double> x0,
+                           std::span<const ScaledColumn> columns,
+                           std::span<double> x) {
+  VIADUCT_REQUIRE(x0.size() == x.size());
+  VIADUCT_REQUIRE_MSG(
+      kernel == WoodburyKernel::kPlain || bestWoodburyKernel() == kernel,
+      "this CPU cannot run the AVX2 Woodbury kernel");
+  const auto zero = [](const ScaledColumn& c) { return c.y == 0.0; };
+  std::vector<ScaledColumn> nonZero;
+  if (std::any_of(columns.begin(), columns.end(), zero)) {
+    std::remove_copy_if(columns.begin(), columns.end(),
+                        std::back_inserter(nonZero), zero);
+    columns = nonZero;
+  }
+#if VIADUCT_AVX2_DISPATCH
+  if (kernel == WoodburyKernel::kAvx2) {
+    subtractRowsAvx2(x0.data(), columns.data(), columns.size(), x.size(),
+                     x.data());
+    return;
+  }
+#endif
+  subtractRowsPlain(x0.data(), columns.data(), columns.size(), x.size(),
+                    x.data());
+}
+
+WoodburyKernel WoodburySolver::applyKernel() {
+  const int chosen = kernelOverride.load();
+  return chosen < 0 ? bestWoodburyKernel()
+                    : static_cast<WoodburyKernel>(chosen);
+}
+
+void WoodburySolver::setApplyKernelForTesting(WoodburyKernel kernel) {
+  VIADUCT_REQUIRE_MSG(
+      kernel == WoodburyKernel::kPlain || bestWoodburyKernel() == kernel,
+      "this CPU cannot run the AVX2 Woodbury kernel");
+  kernelOverride.store(static_cast<int>(kernel));
+}
 
 WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options,
                                std::shared_ptr<const std::vector<double>> rhs)
     : options_(options), rhs_(std::move(rhs)) {
   VIADUCT_REQUIRE(g0.rows() == g0.cols());
   VIADUCT_REQUIRE(!rhs_ || rhs_->size() == static_cast<std::size_t>(g0.rows()));
+  VIADUCT_GAUGE_SET("woodbury.apply_kernel", static_cast<int>(applyKernel()));
   base_ = std::make_shared<const CsrMatrix>(std::move(g0));
   sharedBase_ = buildSpdFactor(*base_, options_.solver, options_.ordering);
   if (rhs_)
@@ -82,6 +204,7 @@ WoodburySolver::WoodburySolver(SharedBase base, const Options& options)
   VIADUCT_REQUIRE(!rhs_ ||
                   (rhs_->size() == static_cast<std::size_t>(base_->rows()) &&
                    rhsBaseSolution_->size() == rhs_->size()));
+  VIADUCT_GAUGE_SET("woodbury.apply_kernel", static_cast<int>(applyKernel()));
   // The owning constructor factors here and so consumes one decision from
   // the cholesky.factor fault stream per solver. Adopting a shared factor
   // skips the factorization but must keep that per-solver stream alignment
@@ -289,27 +412,31 @@ void WoodburySolver::startSolve() const {
 
 std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
   startSolve();
-  return applyUpdates(activeFactor().solve(b));
+  std::vector<double> x = activeFactor().solve(b);
+  applyUpdates(x, x);
+  return x;
 }
 
 std::vector<double> WoodburySolver::solveFixedRhs() const {
   VIADUCT_REQUIRE_MSG(rhsBaseSolution_ != nullptr,
                       "no fixed right-hand side bound");
   startSolve();
-  return applyUpdates(*rhsBaseSolution_);
+  std::vector<double> x(rhsBaseSolution_->size());
+  applyUpdates(*rhsBaseSolution_, x);
+  return x;
 }
 
-std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
+void WoodburySolver::applyUpdates(std::span<const double> x0,
+                                  std::span<double> x) const {
   const std::size_t k = branches_.size();
-  if (k == 0) return x;
   if (factoredRows_ != k)
     throw NumericalError("Woodbury capacitance factor is singular");
 
-  // y = C⁻¹ Uᵀ x: w = Uᵀ x, then L v = w, v /= pivots, Lᵀ y = v in place.
+  // y = C⁻¹ Uᵀ x0: w = Uᵀ x0, then L v = w, v /= pivots, Lᵀ y = v in place.
   std::vector<double> y(k);
   for (std::size_t m = 0; m < k; ++m) {
     const std::vector<double>& row = branches_[m].lower;
-    double v = incidence(branches_[m].i, branches_[m].j, x);
+    double v = incidence(branches_[m].i, branches_[m].j, x0);
     for (std::size_t l = 0; l < m; ++l) v -= row[l] * y[l];
     y[m] = v;
   }
@@ -320,14 +447,9 @@ std::vector<double> WoodburySolver::applyUpdates(std::vector<double> x) const {
     for (std::size_t l = 0; l < m; ++l) y[l] -= row[l] * ym;
   }
 
-  // x -= Z y.
-  for (std::size_t m = 0; m < k; ++m) {
-    const double ym = y[m];
-    if (ym == 0.0) continue;
-    const std::vector<double>& z = *branches_[m].z;
-    for (std::size_t r = 0; r < x.size(); ++r) x[r] -= z[r] * ym;
-  }
-  return x;
+  std::vector<ScaledColumn> zy(k);
+  for (std::size_t m = 0; m < k; ++m) zy[m] = {branches_[m].z->data(), y[m]};
+  subtractScaledColumns(applyKernel(), x0, zy, x);
 }
 
 }  // namespace viaduct

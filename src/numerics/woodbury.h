@@ -48,9 +48,20 @@
 // column is SpdFactor::solveIncidence(i, j): the supernodal factor seeds
 // e_i − e_j's two non-zeros and runs the forward sweep only over their
 // elimination-tree paths, bit-identical to a dense solve.
+//
+// The x0 − Z·y pass dominates a PG-scale solve: k columns of n doubles per
+// solve. It runs row-tiled (subtractScaledColumns): a tile of x0 is loaded
+// into registers once, every column's z_m[r..]·y_m is subtracted from it in
+// ascending m, and the tile is stored once into the result, reading the
+// cached columns in place. Each element sees the same IEEE operations in
+// the same order as a column-at-a-time loop, so the result is bit-identical
+// to it. The kernel is built twice from one source — plain, and under an
+// AVX2 target attribute (no FMA, so no contraction) — and the AVX2 instance
+// runs wherever the CPU has AVX2, chosen once per process.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,6 +74,28 @@
 #include "numerics/spd_factor.h"
 
 namespace viaduct {
+
+/// Kernel of the x0 − Z·y pass (the woodbury.apply_kernel gauge).
+enum class WoodburyKernel : std::uint8_t { kPlain = 0, kAvx2 = 1 };
+
+/// kAvx2 when this CPU runs AVX2 code, else kPlain; checked once per
+/// process.
+WoodburyKernel bestWoodburyKernel();
+
+/// One column z of Z (at least as long as the vector it updates) and its
+/// coefficient y.
+struct ScaledColumn {
+  const double* z;
+  double y;
+};
+
+/// x[r] = x0[r] − z_0[r]·y_0 − z_1[r]·y_1 − … for every row r, the columns
+/// taken in the given order, each product rounded before it is subtracted.
+/// Columns with y == 0 are skipped: subtracting 0·z is not a no-op (it
+/// turns −0 into +0 and an infinite z into NaN). `x` may alias `x0`.
+void subtractScaledColumns(WoodburyKernel kernel, std::span<const double> x0,
+                           std::span<const ScaledColumn> columns,
+                           std::span<double> x);
 
 /// Solved incidence columns G0⁻¹·(e_i − e_j) of one base factor, keyed by
 /// the canonical branch (i < j, a ground endpoint −1 in slot j) and shared
@@ -179,6 +212,13 @@ class WoodburySolver {
   /// private re-factorization has been needed yet).
   bool usesSharedBase() const { return privateFactor_ == nullptr; }
 
+  /// The kernel every solver's x0 − Z·y pass runs: bestWoodburyKernel()
+  /// unless a test chose another.
+  static WoodburyKernel applyKernel();
+  /// Test hook: run `kernel` from now on, process-wide (kAvx2 requires a
+  /// CPU with AVX2).
+  static void setApplyKernelForTesting(WoodburyKernel kernel);
+
   /// Forces folding updates into the base factorization now.
   void rebase();
 
@@ -224,10 +264,11 @@ class WoodburySolver {
   IncidenceColumnCache::Column incidenceColumn(Index i, Index j) const;
   /// The per-solve prologue: the woodbury.solve fault site and counters.
   void startSolve() const;
-  /// x − Z·C⁻¹·Uᵀx for the pending updates: turns a base-factor solution
-  /// into one of the current matrix. Throws NumericalError while the
-  /// capacitance factor misses rows (a rejected update left it singular).
-  std::vector<double> applyUpdates(std::vector<double> x) const;
+  /// x = x0 − Z·C⁻¹·Uᵀx0 for the pending updates: turns a base-factor
+  /// solution into one of the current matrix; `x` may alias `x0`. Throws
+  /// NumericalError while the capacitance factor misses rows (a rejected
+  /// update left it singular).
+  void applyUpdates(std::span<const double> x0, std::span<double> x) const;
 
   Options options_;
   std::shared_ptr<const CsrMatrix> base_;        // matrix at construction

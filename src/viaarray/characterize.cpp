@@ -265,8 +265,8 @@ CharacterizationData ViaArrayCharacterizer::exportData() {
   return CharacterizationData{.rawSigmaT = rawSigmaT_, .traces = traces()};
 }
 
-void ViaArrayCharacterizer::simulateTrial(Rng& rng,
-                                          FailureTrace& trace) const {
+void ViaArrayCharacterizer::simulateTrial(Rng& rng, FailureTrace& trace,
+                                          TrialScratch& scratch) const {
   VIADUCT_SPAN("viaarray.mc_trial");
   VIADUCT_COUNTER_ADD("viaarray.trials", 1);
   trace.failureTimes.clear();
@@ -279,7 +279,8 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng,
   // nucleation time at density j is K_i / j² (Eq. 3 scaling). Drawn before
   // the first network solve so the per-trial RNG stream is fully consumed
   // even when that solve fails (budget draws stay aligned across trials).
-  std::vector<double> budget(static_cast<std::size_t>(count));
+  std::vector<double>& budget = scratch.budget;
+  budget.resize(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     budget[static_cast<std::size_t>(i)] =
         sampleTtf(rng, sigmaT_[static_cast<std::size_t>(i)],
@@ -291,7 +292,10 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng,
   // failVia() is a rank-1 downdate instead of a fresh factorization.
   ViaArrayNetwork network = *baseNetwork_;
 
-  std::vector<double> damage(static_cast<std::size_t>(count), 0.0);
+  std::vector<double>& damage = scratch.damage;
+  damage.assign(static_cast<std::size_t>(count), 0.0);
+  // Zero-filled on every failure: dead and zero-current vias keep rate 0.
+  std::vector<double>& rates = scratch.rates;
   std::vector<double> currents = network.viaCurrents();
 
   trace.failureTimes.reserve(static_cast<std::size_t>(count));
@@ -302,7 +306,7 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng,
     // Find the next failing via: minimal remaining time.
     double best = std::numeric_limits<double>::infinity();
     int victim = -1;
-    std::vector<double> rates(static_cast<std::size_t>(count), 0.0);
+    rates.assign(static_cast<std::size_t>(count), 0.0);
     for (int i = 0; i < count; ++i) {
       if (!network.viaAlive(i)) continue;
       const double j = std::abs(currents[static_cast<std::size_t>(i)]) / viaArea;
@@ -376,11 +380,12 @@ const std::vector<FailureTrace>& ViaArrayCharacterizer::traces() {
       trace = {times, record.secondary};
       return true;
     }
-    checkpoint::NoScratch newScratch() const { return {}; }
+    TrialScratch newScratch() const { return {}; }
     // A salvaged trial keeps the via failures recorded before the solve
     // failed: a truncated but valid prefix of the trace.
-    void run(std::int64_t trial, Rng& rng, checkpoint::NoScratch&) {
-      self.simulateTrial(rng, self.traces_[static_cast<std::size_t>(trial)]);
+    void run(std::int64_t trial, Rng& rng, TrialScratch& scratch) {
+      self.simulateTrial(rng, self.traces_[static_cast<std::size_t>(trial)],
+                         scratch);
     }
     void pack(checkpoint::TrialRecord& record) const {
       if (record.outcome == checkpoint::TrialOutcome::kDiscarded) return;

@@ -196,10 +196,19 @@ class ViaArrayCharacterizer {
   double nominalResistance() const { return nominalResistance_; }
 
  private:
+  /// Per-via buffers of simulateTrial(), reused across the trials of a
+  /// chunk instead of allocated per trial (and, for `rates`, per failure).
+  struct TrialScratch {
+    std::vector<double> budget;
+    std::vector<double> damage;
+    std::vector<double> rates;
+  };
+
   /// Fills `trace` progressively (cleared first), so a trial aborted by a
   /// solver failure leaves every via failure recorded so far behind for
   /// salvage accounting.
-  void simulateTrial(Rng& rng, FailureTrace& trace) const;
+  void simulateTrial(Rng& rng, FailureTrace& trace,
+                     TrialScratch& scratch) const;
 
   ViaArrayCharacterizationSpec spec_;
   std::vector<ViaFootprint> vias_;

@@ -4,15 +4,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <tuple>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "fault/fault.h"
+#include "grid/power_grid.h"
 #include "numerics/cholesky.h"
 #include "numerics/dense.h"
 #include "obs/obs.h"
+#include "spice/generator.h"
 
 namespace viaduct {
 namespace {
@@ -595,6 +599,97 @@ TEST(WoodburySolver, RejectsStructurallyAbsentBranch) {
   WoodburySolver w(g);
   // Nodes 0 and 8 are opposite corners: no direct branch entry.
   EXPECT_THROW(w.updateBranch(0, 8, -0.1), PreconditionError);
+}
+
+// x0 − Z·y one column at a time: the loop the row-tiled kernels replace.
+std::vector<double> columnLoop(const std::vector<double>& x0,
+                               const std::vector<ScaledColumn>& columns) {
+  std::vector<double> x = x0;
+  for (const ScaledColumn& c : columns) {
+    if (c.y == 0.0) continue;
+    for (std::size_t r = 0; r < x.size(); ++r) x[r] -= c.z[r] * c.y;
+  }
+  return x;
+}
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Every tile remainder (n), column count and zero coefficient: the
+// kernel's result equals the column loop's bit for bit, also in place.
+// Zero coefficients sit on columns holding ±inf and x0 holds −0, so a
+// kernel that subtracted 0·z would show NaN or a flipped sign.
+void expectKernelMatchesColumnLoop(WoodburyKernel kernel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(71);
+  for (const std::size_t n : {1, 3, 5, 17, 2048, 2051}) {
+    for (const std::size_t k : {0, 1, 3, 4, 5, 8, 9, 15, 16, 17, 96}) {
+      std::vector<std::vector<double>> z(k, std::vector<double>(n));
+      std::vector<ScaledColumn> columns(k);
+      for (std::size_t m = 0; m < k; ++m) {
+        for (auto& v : z[m]) v = rng.uniform(-1.0, 1.0);
+        double y = rng.uniform(-2.0, 2.0);
+        if (m % 5 == 2) {
+          y = m % 2 == 0 ? 0.0 : -0.0;
+          z[m][(m * 7) % n] = kInf;
+          z[m][(m * 3) % n] = -kInf;
+        }
+        columns[m] = {z[m].data(), y};
+      }
+      std::vector<double> x0(n);
+      for (auto& v : x0) v = rng.uniform(-1.0, 1.0);
+      x0[n / 2] = -0.0;
+      const std::vector<double> ref = columnLoop(x0, columns);
+
+      std::vector<double> x(n, 7.0);
+      subtractScaledColumns(kernel, x0, columns, x);
+      EXPECT_TRUE(sameBits(x, ref)) << "n=" << n << " k=" << k;
+      std::vector<double> inPlace = x0;
+      subtractScaledColumns(kernel, inPlace, columns, inPlace);
+      EXPECT_TRUE(sameBits(inPlace, ref)) << "in place, n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(WoodburyApplyKernel, PlainMatchesColumnLoopBitForBit) {
+  expectKernelMatchesColumnLoop(WoodburyKernel::kPlain);
+}
+
+TEST(WoodburyApplyKernel, Avx2MatchesColumnLoopBitForBit) {
+  if (bestWoodburyKernel() != WoodburyKernel::kAvx2)
+    GTEST_SKIP() << "this CPU has no AVX2";
+  expectKernelMatchesColumnLoop(WoodburyKernel::kAvx2);
+}
+
+// A PG5 Session through a sequence of array opens, solved after each:
+// both kernels give the same voltages bit for bit.
+TEST(WoodburyApplyKernel, Pg5SessionVoltagesMatchAcrossKernels) {
+  if (bestWoodburyKernel() != WoodburyKernel::kAvx2)
+    GTEST_SKIP() << "this CPU has no AVX2";
+  const Netlist netlist = generatePgBenchmark(PgPreset::kPg5);
+  const PowerGridModel model(netlist);
+  const int arrays = static_cast<int>(model.viaArrays().size());
+  ASSERT_GT(arrays, 40);
+  const auto opens = [&](WoodburyKernel kernel) {
+    WoodburySolver::setApplyKernelForTesting(kernel);
+    PowerGridModel::Session session(model);
+    std::vector<std::vector<double>> voltages;
+    for (int f = 0; f < 40; ++f) {
+      session.openArray((f * 37) % arrays);
+      const auto sol = session.solve();
+      EXPECT_TRUE(sol.solverOk);
+      voltages.push_back(sol.voltages);
+    }
+    return voltages;
+  };
+  const auto plain = opens(WoodburyKernel::kPlain);
+  const auto avx2 = opens(WoodburyKernel::kAvx2);
+  WoodburySolver::setApplyKernelForTesting(bestWoodburyKernel());
+  ASSERT_EQ(plain.size(), avx2.size());
+  for (std::size_t f = 0; f < plain.size(); ++f)
+    EXPECT_TRUE(sameBits(plain[f], avx2[f])) << "after open " << f + 1;
 }
 
 class WoodburyFailureSweep : public ::testing::TestWithParam<int> {};

@@ -23,8 +23,10 @@
 #      serves a repeat; `column_hit_ratio` reports its share), and that
 #      every seeded, reach-limited incidence column (`solveIncidence`) is
 #      bit-identical to the dense solve of e_i − e_j (`incidence_solve_ms`
-#      and `forward_reach_fraction` report its cost); exit is nonzero on
-#      any miss;
+#      and `forward_reach_fraction` report its cost), and that a Session's
+#      voltages are bit-identical under the plain and AVX2 Woodbury
+#      x0 − Z·y kernels (`woodbury_apply_gmac_per_s` reports both);
+#      exit is nonzero on any miss;
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + the --obs-listen telemetry listener from
 #      serve/protocol + a scraper thread) must
