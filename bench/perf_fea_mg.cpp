@@ -125,7 +125,6 @@ bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
 /// for an apply and a V-cycle.
 StencilSample timeFineStencil(const BuiltStructure& built, int repeats) {
   ThermoSolverOptions opts;
-  opts.preconditioner = FeaPreconditionerKind::kMultigrid;
   opts.parallelism.threads = 1;
   const ThermoSolver solver(built.grid, opts);
   ThreadPool pool(1);
@@ -136,7 +135,7 @@ StencilSample timeFineStencil(const BuiltStructure& built, int repeats) {
     const auto start = std::chrono::steady_clock::now();
     mg = std::make_unique<VoxelStressMultigrid>(
         built.grid, solver.constrainedMask(), solver.elementOperators(),
-        opts.multigrid, &pool);
+        &pool);
     const std::chrono::duration<double, std::milli> dt =
         std::chrono::steady_clock::now() - start;
     sample.setupMs = std::min(sample.setupMs, dt.count());

@@ -1,15 +1,10 @@
 #include "checkpoint/checkpoint.h"
 
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -52,38 +47,6 @@ bool parseOutcome(char c, TrialOutcome* out) {
       return true;
   }
   return false;
-}
-
-/// Flushes a freshly written file's data to stable storage. Without this,
-/// the atomic rename can land before the data blocks do and a power loss
-/// would leave a complete-looking but empty snapshot.
-bool syncFile(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  return true;  // best effort off POSIX
-#endif
-}
-
-/// Best-effort fsync of the directory holding `path`, so the rename itself
-/// survives a crash. Failure is not fatal: the worst case is resuming from
-/// the previous snapshot.
-void syncParentDir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace
@@ -183,10 +146,7 @@ bool CheckpointFile::write(const Snapshot& snapshot) const {
   // promoted, previous snapshot untouched.
   if (fault::shouldInject("checkpoint.write")) return false;
 
-  const std::string tmp = tempPath();
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return false;
+  const bool published = publishFileAtomically(path_, [&](std::ostream& os) {
     os << kMagic << '\n';
     os << "key " << snapshot.configKey << '\n';
     os << "total " << snapshot.totalTrials << '\n';
@@ -200,21 +160,8 @@ bool CheckpointFile::write(const Snapshot& snapshot) const {
       os << '\n';
     }
     os << "end " << snapshot.trials.size() << '\n';
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (!syncFile(tmp)) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  syncParentDir(path_);
+  });
+  if (!published) return false;
   VIADUCT_COUNTER_ADD("checkpoint.writes", 1);
   return true;
 }

@@ -13,9 +13,9 @@
 //   end <record count>
 //
 // Crash safety: every snapshot is written to `<path>.tmp`, fsync'd, and
-// atomically renamed over `<path>`, so the file on disk is always either
-// the previous complete snapshot or the new complete snapshot — never a
-// torn mixture. The `end <count>` trailer additionally rejects a file
+// atomically renamed over `<path>` (common/atomic_file.h), so the file on
+// disk is always either the previous complete snapshot or the new complete
+// snapshot — never a torn mixture. The `end <count>` trailer additionally rejects a file
 // truncated by means the rename protocol cannot see (filesystem loss,
 // manual copy).
 //
@@ -44,6 +44,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "common/atomic_file.h"
 
 namespace viaduct::checkpoint {
 
@@ -103,7 +105,7 @@ class CheckpointFile {
   bool write(const Snapshot& snapshot) const;
 
   const std::string& path() const { return path_; }
-  std::string tempPath() const { return path_ + ".tmp"; }
+  std::string tempPath() const { return atomicTempPath(path_); }
 
  private:
   std::string path_;

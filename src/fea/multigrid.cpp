@@ -20,6 +20,34 @@ constexpr std::int64_t kNodeGrain = 256;
 constexpr std::int64_t kDofGrain = 3 * kNodeGrain;
 constexpr int kPowerIterations = 10;
 
+// Chebyshev degree (= operator applies) of the pre- and of the post-smoother
+// on the fine level and on every coarser one. Pre and post share one degree
+// so the V-cycle stays symmetric (required for CG). The fine level owns
+// almost all of the cycle's cost, so it smooths lightly and leans on the
+// coarse correction; a coarser level's apply is ~8× cheaper per
+// coarsening, so stronger smoothing there buys a better coarse correction
+// (fewer CG iterations) at little cost.
+constexpr int kFineSmoothDegree = 2;
+constexpr int kCoarseSmoothDegree = 3;
+
+int smoothDegree(std::size_t level) {
+  return level == 0 ? kFineSmoothDegree : kCoarseSmoothDegree;
+}
+
+// The Chebyshev polynomial targets D⁻¹A eigenvalues in
+// [λmax/kChebyshevEigRatio, kLambdaMaxSafety·λmax]. λmax is estimated per
+// level at set-up by a fixed, deterministic power iteration, so the
+// interval adapts to the material contrast instead of being hand-tuned;
+// the safety factor is headroom for an estimate that converges from below
+// (eigenvalues above the interval would diverge).
+constexpr double kChebyshevEigRatio = 8.0;
+constexpr double kLambdaMaxSafety = 1.1;
+
+// Coarsening stops once a level has at most kCoarseDofLimit dof (that level
+// is solved directly with dense Cholesky) or the hierarchy has kMaxLevels.
+constexpr Index kCoarseDofLimit = 1000;
+constexpr std::size_t kMaxLevels = 16;
+
 struct AxisTransfer {
   // Per fine axis node (CSR over `ptr`): the nonzero linear factors of the
   // coarse cell it falls in, low node (1 − w) before high node (w), with
@@ -128,17 +156,10 @@ struct VoxelStressMultigrid::Level {
 
 VoxelStressMultigrid::VoxelStressMultigrid(
     const VoxelGrid& grid, const std::vector<bool>& constrained,
-    const std::vector<const Hex8Operators*>& cellOperators,
-    const MultigridOptions& options, ThreadPool* pool)
-    : options_(options), pool_(pool) {
+    const std::vector<const Hex8Operators*>& cellOperators, ThreadPool* pool)
+    : pool_(pool) {
   VIADUCT_SPAN("fea.mg_setup");
   VIADUCT_REQUIRE(pool_ != nullptr);
-  VIADUCT_REQUIRE(options_.preSmooth >= 1 && options_.postSmooth >= 1 &&
-                  options_.coarsePreSmooth >= 1 &&
-                  options_.coarsePostSmooth >= 1 &&
-                  options_.chebyshevEigRatio > 1.0 &&
-                  options_.lambdaMaxSafety >= 1.0 &&
-                  options_.coarseDofLimit >= 81 && options_.maxLevels >= 1);
   buildHierarchy(grid, constrained, cellOperators);
   VIADUCT_GAUGE_SET("fea.mg_levels", levelCount());
   // The fine level carries nearly all sweep work, so its share of
@@ -228,8 +249,8 @@ Hex8Operators galerkinCompositeOperator(
 }
 
 /// Assembles, inverts and stores the nodal 3×3 diagonal blocks of a level
-/// (constrained rows/cols replaced by identity before inversion) — the same
-/// construction as the fine solver's block-Jacobi preconditioner.
+/// (constrained rows/cols replaced by identity before inversion): the
+/// block-Jacobi scaling inside the Chebyshev smoother.
 void buildLevelBlocks(VoxelStressMultigrid::Level& lvl, ThreadPool* pool) {
   const VoxelGrid& g = lvl.grid;
   const Index nodesPerRow = g.nx() + 1;
@@ -354,10 +375,10 @@ void VoxelStressMultigrid::buildHierarchy(
   fine->cellOps = cellOperators;
   levels_.push_back(std::move(fine));
 
-  while (static_cast<int>(levels_.size()) < options_.maxLevels) {
+  while (levels_.size() < kMaxLevels) {
     Level& f = *levels_.back();
     const Index dofs = f.nodes * 3;
-    if (dofs <= options_.coarseDofLimit) break;
+    if (dofs <= kCoarseDofLimit) break;
     const VoxelGrid& fg = f.grid;
     if (fg.nx() <= 1 && fg.ny() <= 1 && fg.nz() <= 1) break;
 
@@ -517,9 +538,8 @@ void VoxelStressMultigrid::buildHierarchy(
   // apply()'s constrained copy (1); the dense coarsest solve opens none.
   parallelRegionsPerCycle_ = 1;
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
-    const int pre = l == 0 ? options_.preSmooth : options_.coarsePreSmooth;
-    const int post = l == 0 ? options_.postSmooth : options_.coarsePostSmooth;
-    parallelRegionsPerCycle_ += 1 + 2 * (pre - 1) + 2 + 1 + 1 + 2 * post;
+    const int degree = smoothDegree(l);
+    parallelRegionsPerCycle_ += 1 + 2 * (degree - 1) + 2 + 1 + 1 + 2 * degree;
   }
 
   // Coarsest level: dense assembly with constrained rows/cols as identity,
@@ -571,8 +591,8 @@ void VoxelStressMultigrid::buildHierarchy(
 void VoxelStressMultigrid::smooth(const Level& lvl, std::span<const double> r,
                                   std::span<double> z, int steps,
                                   bool zeroGuess) const {
-  const double b = options_.lambdaMaxSafety * lvl.lambdaMax;
-  const double a = b / options_.chebyshevEigRatio;
+  const double b = kLambdaMaxSafety * lvl.lambdaMax;
+  const double a = b / kChebyshevEigRatio;
   const double theta = 0.5 * (b + a);
   const double delta = 0.5 * (b - a);
   const double sigma1 = theta / delta;
@@ -639,11 +659,9 @@ void VoxelStressMultigrid::vcycle(std::size_t level, std::span<const double> r,
     return;
   }
   const Level& next = *levels_[level + 1];
-  const int pre = level == 0 ? options_.preSmooth : options_.coarsePreSmooth;
-  const int post =
-      level == 0 ? options_.postSmooth : options_.coarsePostSmooth;
+  const int degree = smoothDegree(level);
 
-  smooth(lvl, r, z, pre, /*zeroGuess=*/true);
+  smooth(lvl, r, z, degree, /*zeroGuess=*/true);
 
   // Residual, restricted to the coarse level (gather per coarse node).
   lvl.op.residual(r, z, lvl.work);
@@ -691,7 +709,7 @@ void VoxelStressMultigrid::vcycle(std::size_t level, std::span<const double> r,
     }
   });
 
-  smooth(lvl, r, z, post, /*zeroGuess=*/false);
+  smooth(lvl, r, z, degree, /*zeroGuess=*/false);
 }
 
 void VoxelStressMultigrid::apply(std::span<const double> r,

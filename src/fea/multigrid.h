@@ -1,10 +1,10 @@
 // Geometric multigrid preconditioner for the voxel thermoelasticity solve.
 //
-// The FEA system is the pipeline's wall-clock wall: a fig7-sized solve is
-// seconds of block-Jacobi-preconditioned CG whose iteration count grows
-// with the mesh. This V-cycle exploits what the matrix-free operator
-// already knows — the mesh is a structured voxel grid — to precondition CG
-// with a mesh-independent hierarchy:
+// The FEA system is the pipeline's wall-clock wall, and a one-level
+// preconditioner leaves CG an iteration count that grows with the mesh.
+// This V-cycle, the ThermoSolver's default, exploits what the matrix-free
+// operator already knows — the mesh is a structured voxel grid — to
+// precondition CG with a mesh-independent hierarchy:
 //
 //   - 2× cell coarsening per axis (odd trailing cells merge into the last
 //     coarse cell), so every level is again a VoxelGrid;
@@ -28,7 +28,11 @@
 //     V-cycle is a fixed SPD operator and CG stays CG — and per operator
 //     apply it damps far more of the rough spectrum than damped Jacobi);
 //   - a dense Cholesky coarse solve (DenseCholeskyFactor) once the level
-//     drops under `coarseDofLimit` dof.
+//     drops under 1000 dof.
+//
+// The smoothing degrees, the Chebyshev interval and the coarsening limits
+// are fixed constants in multigrid.cpp: every caller runs one
+// configuration, so every solve of a layout gives the same bits.
 //
 // Dirichlet handling matches the fine operator: constrained dofs are
 // identity rows. Residuals entering a level are zeroed on constrained
@@ -50,35 +54,6 @@
 
 namespace viaduct {
 
-struct MultigridOptions {
-  /// Chebyshev degree (= operator applies) of the pre/post smoother on the
-  /// FINE level. Equal degrees keep the V-cycle symmetric (required for
-  /// CG). The fine level owns almost all of the cycle's cost, so it smooths
-  /// lightly and leans on the coarse correction.
-  int preSmooth = 2;
-  int postSmooth = 2;
-  /// Chebyshev degrees on every coarser level, where an operator apply is
-  /// ~8× cheaper per coarsening: stronger smoothing there buys a better
-  /// coarse correction (fewer CG iterations) at little cost.
-  int coarsePreSmooth = 3;
-  int coarsePostSmooth = 3;
-  /// The Chebyshev polynomial targets D⁻¹A eigenvalues in
-  /// [λmax/eigRatio, safety·λmax]; λmax is estimated per level at setup
-  /// with a fixed, deterministic power iteration, so the interval adapts
-  /// to the material contrast instead of being hand-tuned. Larger
-  /// eigRatio reaches deeper into the smooth spectrum (helping when the
-  /// coarse correction is weakened by anisotropy) at the cost of less
-  /// damping at the very top.
-  double chebyshevEigRatio = 8.0;
-  /// Headroom multiplier on the λmax estimate (the power iteration
-  /// converges from below; eigenvalues above the interval would diverge).
-  double lambdaMaxSafety = 1.1;
-  /// Stop coarsening once a level has at most this many dof; that level is
-  /// solved directly with dense Cholesky.
-  Index coarseDofLimit = 1000;
-  int maxLevels = 16;
-};
-
 /// One V-cycle per apply(). Scratch vectors are per-level and mutable:
 /// concurrent apply() calls on the SAME instance are not supported (CG
 /// applies its preconditioner serially; parallel characterizations each
@@ -93,7 +68,7 @@ class VoxelStressMultigrid final : public Preconditioner {
   VoxelStressMultigrid(const VoxelGrid& grid,
                        const std::vector<bool>& constrained,
                        const std::vector<const Hex8Operators*>& cellOperators,
-                       const MultigridOptions& options, ThreadPool* pool);
+                       ThreadPool* pool);
   ~VoxelStressMultigrid() override;
 
   void apply(std::span<const double> r, std::span<double> z) const override;
@@ -136,7 +111,6 @@ class VoxelStressMultigrid final : public Preconditioner {
   void smooth(const Level& level, std::span<const double> r,
               std::span<double> z, int steps, bool zeroGuess) const;
 
-  MultigridOptions options_;
   ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Level>> levels_;
   std::int64_t parallelRegionsPerCycle_ = 0;

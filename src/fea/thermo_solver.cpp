@@ -6,8 +6,8 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "fea/multigrid.h"
 #include "fea/stiffness_csr.h"
-#include "numerics/dense.h"
 #include "numerics/preconditioner.h"
 #include "obs/obs.h"
 
@@ -112,20 +112,11 @@ class VoxelElasticityOperator final : public LinearOperator {
 };
 
 const char* feaPreconditionerName(FeaPreconditionerKind kind) {
-  switch (kind) {
-    case FeaPreconditionerKind::kBlockJacobi:
-      return "bj";
-    case FeaPreconditionerKind::kIc0:
-      return "ic0";
-    case FeaPreconditionerKind::kMultigrid:
-      return "mg";
-  }
-  return "bj";
+  return kind == FeaPreconditionerKind::kIc0 ? "ic0" : "mg";
 }
 
 std::optional<FeaPreconditionerKind> parseFeaPreconditionerName(
     std::string_view name) {
-  if (name == "bj") return FeaPreconditionerKind::kBlockJacobi;
   if (name == "ic0") return FeaPreconditionerKind::kIc0;
   if (name == "mg") return FeaPreconditionerKind::kMultigrid;
   return std::nullopt;
@@ -221,8 +212,6 @@ std::vector<double> ThermoSolver::assembleThermalLoad() const {
 
 namespace {
 
-/// Nodal 3×3 block-Jacobi: one inverted diagonal block per node,
-/// constrained dofs as identity (inverses built in ensurePreconditioner).
 /// CG-facing adapter for the stencil-compressed stiffness that the
 /// multigrid hierarchy builds for its fine level: in multigrid mode the
 /// solver routes CG's matvec through it too, so the whole solve runs on the
@@ -243,90 +232,17 @@ class StencilElasticityOperator final : public LinearOperator {
   const NodeStencilOperator& op_;
 };
 
-
-class NodalBlockPreconditioner final : public Preconditioner {
- public:
-  NodalBlockPreconditioner(std::vector<double> inverses, ThreadPool* pool)
-      : inv_(std::move(inverses)), pool_(pool) {}
-  void apply(std::span<const double> r, std::span<double> z) const override {
-    VIADUCT_SPAN("fea.precond_apply");
-    const auto nodes = static_cast<std::int64_t>(inv_.size() / 9);
-    parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t n) {
-      const double* m = &inv_[static_cast<std::size_t>(n) * 9];
-      const double* rn = &r[static_cast<std::size_t>(n) * 3];
-      double* zn = &z[static_cast<std::size_t>(n) * 3];
-      for (int p = 0; p < 3; ++p)
-        zn[p] = m[p * 3] * rn[0] + m[p * 3 + 1] * rn[1] + m[p * 3 + 2] * rn[2];
-    });
-  }
-  const char* name() const override { return "nodal-block-jacobi"; }
-
- private:
-  std::vector<double> inv_;
-  ThreadPool* pool_ = nullptr;
-};
-
 }  // namespace
 
 const Preconditioner& ThermoSolver::ensurePreconditioner() const {
   if (precond_) return *precond_;
   VIADUCT_SPAN("fea.precond_setup");
-  switch (activeKind_) {
-    case FeaPreconditionerKind::kBlockJacobi: {
-      // Element diagonal blocks gathered per node (partitioned across the
-      // pool), constrained dofs replaced by identity, then inverted.
-      const Index nodes = grid_.nodeCount();
-      const Index nodesPerRow = grid_.nx() + 1;
-      const Index nodesPerSlab = nodesPerRow * (grid_.ny() + 1);
-      std::vector<double> inverses(static_cast<std::size_t>(nodes) * 9, 0.0);
-      std::vector<double> blocks(static_cast<std::size_t>(nodes) * 9, 0.0);
-      parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t ni) {
-        const Index node = static_cast<Index>(ni);
-        const Index K = node / nodesPerSlab;
-        const Index rem = node % nodesPerSlab;
-        const Index J = rem / nodesPerRow;
-        const Index I = rem % nodesPerRow;
-        double* blk = &blocks[static_cast<std::size_t>(node) * 9];
-        forEachAdjacentCell(grid_, I, J, K,
-                            [&](Index cell, int n, Index, Index, Index) {
-                              const Hex8Operators& ops =
-                                  *cellOps_[static_cast<std::size_t>(cell)];
-                              for (int p = 0; p < 3; ++p)
-                                for (int q = 0; q < 3; ++q)
-                                  blk[p * 3 + q] +=
-                                      ops.stiffness[(3 * n + p) * kHexDofs +
-                                                    (3 * n + q)];
-                            });
-      });
-      parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t ni) {
-        const Index n = static_cast<Index>(ni);
-        double* blk = &blocks[static_cast<std::size_t>(n) * 9];
-        for (int d = 0; d < 3; ++d) {
-          if (!constrained_[n * 3 + d]) continue;
-          for (int q = 0; q < 3; ++q) {
-            blk[d * 3 + q] = 0.0;
-            blk[q * 3 + d] = 0.0;
-          }
-          blk[d * 3 + d] = 1.0;
-        }
-        invert3x3(blk, &inverses[static_cast<std::size_t>(n) * 9]);
-      });
-      precond_ =
-          std::make_unique<NodalBlockPreconditioner>(std::move(inverses),
-                                                     pool_);
-      break;
-    }
-    case FeaPreconditionerKind::kIc0: {
-      const CsrMatrix k = assembleCsrStiffness();
-      precond_ = std::make_unique<IncompleteCholeskyPreconditioner>(k);
-      break;
-    }
-    case FeaPreconditionerKind::kMultigrid: {
-      precond_ = std::make_unique<VoxelStressMultigrid>(
-          grid_, constrained_, cellOps_, options_.multigrid, pool_);
-      break;
-    }
-  }
+  if (activeKind_ == FeaPreconditionerKind::kIc0)
+    precond_ = std::make_unique<IncompleteCholeskyPreconditioner>(
+        assembleCsrStiffness());
+  else
+    precond_ = std::make_unique<VoxelStressMultigrid>(grid_, constrained_,
+                                                      cellOps_, pool_);
   return *precond_;
 }
 
@@ -338,23 +254,43 @@ CsrMatrix ThermoSolver::assembleCsrStiffness() const {
   return assembleVoxelStiffnessCsr(grid_, mask, cellOps_, pool_);
 }
 
-CgResult ThermoSolver::solve() {
-  if (solved_) return lastCg_;
-  VIADUCT_SPAN("fea.solve");
-  VIADUCT_COUNTER_ADD("fea.solves", 1);
-  const VoxelElasticityOperator op(*this);
-  const std::vector<double> f = assembleThermalLoad();
-
-  displacements_.assign(f.size(), 0.0);
+CgOptions ThermoSolver::cgOptions() const {
   CgOptions cgOpts;
   cgOpts.relativeTolerance = options_.cgRelativeTolerance;
   cgOpts.maxIterations = options_.cgMaxIterations;
   cgOpts.pool = pool_;
+  cgOpts.throwOnStall = false;
+  return cgOpts;
+}
+
+CgResult ThermoSolver::runCg(std::span<const double> rhs, std::span<double> x,
+                             const CgOptions& cgOpts) const {
+  VIADUCT_SPAN("fea.cg_solve");
+  const Preconditioner& precond = ensurePreconditioner();
+  // Multigrid runs CG's matvec on the hierarchy's fine-level stencil
+  // operator; the ladder's IC(0) rung falls back to the matrix-free gather
+  // together with the preconditioner swap.
+  if (activeKind_ == FeaPreconditionerKind::kMultigrid) {
+    const StencilElasticityOperator op(
+        static_cast<const VoxelStressMultigrid&>(precond).fineOperator());
+    return conjugateGradient(op, rhs, x, precond, cgOpts);
+  }
+  const VoxelElasticityOperator op(*this);
+  return conjugateGradient(op, rhs, x, precond, cgOpts);
+}
+
+CgResult ThermoSolver::solve() {
+  if (solved_) return lastCg_;
+  VIADUCT_SPAN("fea.solve");
+  VIADUCT_COUNTER_ADD("fea.solves", 1);
+  const std::vector<double> f = assembleThermalLoad();
+
+  displacements_.assign(f.size(), 0.0);
   // The policy owns failure handling: a stall returns converged = false and
   // a NaN residual throws NumericalError, both of which feed the retry
   // ladder below (each rung restarts from a zero guess — a poisoned iterate
   // must not warm-start the retry).
-  cgOpts.throwOnStall = false;
+  CgOptions cgOpts = cgOptions();
   const fault::FailurePolicy& policy = options_.policy;
   const int attempts = policy.enabled ? 1 + std::max(0, policy.cgRetries) : 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -377,19 +313,7 @@ CgResult ThermoSolver::solve() {
       }
     }
     try {
-      VIADUCT_SPAN("fea.cg_solve");
-      const Preconditioner& precond = ensurePreconditioner();
-      // Multigrid mode runs CG's matvec on the hierarchy's fine-level
-      // stencil operator; the ladder's IC(0) rung falls back to the
-      // matrix-free gather together with the preconditioner swap.
-      std::optional<StencilElasticityOperator> stencilOp;
-      if (activeKind_ == FeaPreconditionerKind::kMultigrid)
-        stencilOp.emplace(
-            static_cast<const VoxelStressMultigrid&>(precond).fineOperator());
-      const LinearOperator& cgOp =
-          stencilOp ? static_cast<const LinearOperator&>(*stencilOp)
-                    : static_cast<const LinearOperator&>(op);
-      lastCg_ = conjugateGradient(cgOp, f, displacements_, precond, cgOpts);
+      lastCg_ = runCg(f, displacements_, cgOpts);
     } catch (const NumericalError&) {
       lastCg_ = CgResult{};
       if (!policy.enabled) throw;
@@ -419,22 +343,7 @@ CgResult ThermoSolver::solveSystem(std::span<const double> rhs,
   VIADUCT_REQUIRE(rhs.size() ==
                       static_cast<std::size_t>(grid_.nodeCount()) * 3 &&
                   x.size() == rhs.size());
-  const VoxelElasticityOperator op(*this);
-  CgOptions cgOpts;
-  cgOpts.relativeTolerance = options_.cgRelativeTolerance;
-  cgOpts.maxIterations = options_.cgMaxIterations;
-  cgOpts.pool = pool_;
-  cgOpts.throwOnStall = false;
-  VIADUCT_SPAN("fea.cg_solve");
-  const Preconditioner& precond = ensurePreconditioner();
-  std::optional<StencilElasticityOperator> stencilOp;
-  if (activeKind_ == FeaPreconditionerKind::kMultigrid)
-    stencilOp.emplace(
-        static_cast<const VoxelStressMultigrid&>(precond).fineOperator());
-  const LinearOperator& cgOp =
-      stencilOp ? static_cast<const LinearOperator&>(*stencilOp)
-                : static_cast<const LinearOperator&>(op);
-  return conjugateGradient(cgOp, rhs, x, precond, cgOpts);
+  return runCg(rhs, x, cgOptions());
 }
 
 void ThermoSolver::applyStiffness(std::span<const double> x,

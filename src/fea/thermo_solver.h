@@ -15,11 +15,13 @@
 // the operator stores one matrix per distinct pair and applies them in a
 // gather–scatter sweep.
 //
-// Preconditioning is selectable (DESIGN.md §5.12): nodal 3×3 block-Jacobi
-// (the seed default), IC(0) on the assembled stiffness, or the geometric
-// multigrid V-cycle from fea/multigrid.h. Under an enabled FailurePolicy a
-// failed multigrid solve degrades to IC(0) on retry before the
-// non-convergence escalates to the caller as a NumericalError.
+// CG is preconditioned by the geometric multigrid V-cycle from
+// fea/multigrid.h, and its matvec runs on that hierarchy's fine-level
+// stencil operator (DESIGN.md §5.12). IC(0) on the assembled stiffness,
+// with the matrix-free operator above as CG's matvec, is the fallback:
+// under an enabled FailurePolicy a failed multigrid solve degrades to it on
+// retry before the non-convergence escalates to the caller as a
+// NumericalError.
 #pragma once
 
 #include <array>
@@ -32,23 +34,20 @@
 #include "common/thread_pool.h"
 #include "fault/policy.h"
 #include "fea/hex8.h"
-#include "fea/multigrid.h"
 #include "fea/voxel_grid.h"
 #include "numerics/cg.h"
 
 namespace viaduct {
 
-/// CG preconditioner for the thermoelastic solve. kBlockJacobi reproduces
-/// the seed solver bit-for-bit; kMultigrid is the fast path for production
-/// meshes; kIc0 is the robust middle rung the failure ladder degrades to.
+/// CG preconditioner for the thermoelastic solve. kMultigrid is the one
+/// production configuration; kIc0 is the rung the failure ladder degrades
+/// to and the comparison in perf_fea_mg.
 enum class FeaPreconditionerKind {
-  kBlockJacobi = 0,
   kIc0 = 1,
   kMultigrid = 2,
 };
 
-/// Short stable names used by the CLI flag and cache-key tags:
-/// "bj", "ic0", "mg".
+/// Short stable names used by the cache-key tags: "ic0", "mg".
 const char* feaPreconditionerName(FeaPreconditionerKind kind);
 
 /// Inverse of feaPreconditionerName; nullopt for unknown names.
@@ -63,11 +62,9 @@ struct ThermoSolverOptions {
   double cgRelativeTolerance = 1e-7;
   int cgMaxIterations = 20000;
 
-  /// CG preconditioner; kBlockJacobi preserves the seed solver exactly.
-  FeaPreconditionerKind preconditioner = FeaPreconditionerKind::kBlockJacobi;
-
-  /// Hierarchy settings for kMultigrid (ignored otherwise).
-  MultigridOptions multigrid;
+  /// CG preconditioner; the same default as
+  /// ViaArrayCharacterizationSpec::feaPreconditioner.
+  FeaPreconditionerKind preconditioner = FeaPreconditionerKind::kMultigrid;
 
   /// Failure policy for the CG solve: a stalled or NaN-poisoned solve is
   /// retried `cgRetries` times from a zero guess with a tightened tolerance
@@ -169,6 +166,13 @@ class ThermoSolver {
   /// Builds (once) and returns the preconditioner for `activeKind_`.
   const Preconditioner& ensurePreconditioner() const;
 
+  /// CG settings from the options (stalls return, never throw).
+  CgOptions cgOptions() const;
+
+  /// One preconditioned CG solve of K x = rhs under `activeKind_`.
+  CgResult runCg(std::span<const double> rhs, std::span<double> x,
+                 const CgOptions& cgOpts) const;
+
   /// Assembles the global CSR stiffness (constrained dofs as identity
   /// rows/columns) for the IC(0) path — node-gathered, rows emitted in
   /// sorted order.
@@ -199,7 +203,7 @@ class ThermoSolver {
   /// kinds. Mutable because solveSystem() is logically const.
   mutable std::unique_ptr<Preconditioner> precond_;
   mutable FeaPreconditionerKind activeKind_ =
-      FeaPreconditionerKind::kBlockJacobi;
+      FeaPreconditionerKind::kMultigrid;
 };
 
 }  // namespace viaduct

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 #include "common/check.h"
 
@@ -100,68 +99,6 @@ Ordering reverseCuthillMcKee(const CsrMatrix& a) {
   o.perm = std::move(order);
   o.inverse.resize(static_cast<std::size_t>(n));
   for (Index i = 0; i < n; ++i) o.inverse[o.perm[i]] = i;
-  return o;
-}
-
-Ordering minimumDegree(const CsrMatrix& a) {
-  VIADUCT_REQUIRE(a.rows() == a.cols());
-  const Index n = a.rows();
-  const auto rp = a.rowPointers();
-  const auto ci = a.colIndices();
-
-  // Adjacency sets, updated by clique formation as nodes are eliminated.
-  // For the grid/FEA graph sizes viaduct factors (10^3-10^5 nodes with
-  // bounded degree), the set-based quotient update is fast enough and
-  // keeps the algorithm auditable.
-  std::vector<std::set<Index>> adj(static_cast<std::size_t>(n));
-  for (Index r = 0; r < n; ++r)
-    for (Index k = rp[r]; k < rp[r + 1]; ++k)
-      if (ci[k] != r) adj[static_cast<std::size_t>(r)].insert(ci[k]);
-
-  // Degree buckets for O(1)-amortized min extraction.
-  std::vector<std::set<Index>> buckets(static_cast<std::size_t>(n) + 1);
-  std::vector<Index> degree(static_cast<std::size_t>(n));
-  for (Index v = 0; v < n; ++v) {
-    degree[v] = static_cast<Index>(adj[static_cast<std::size_t>(v)].size());
-    buckets[static_cast<std::size_t>(degree[v])].insert(v);
-  }
-
-  Ordering o;
-  o.perm.reserve(static_cast<std::size_t>(n));
-
-  Index minDeg = 0;
-  for (Index step = 0; step < n; ++step) {
-    while (minDeg <= n && buckets[static_cast<std::size_t>(minDeg)].empty())
-      ++minDeg;
-    VIADUCT_CHECK(minDeg <= n);
-    const Index v = *buckets[static_cast<std::size_t>(minDeg)].begin();
-    buckets[static_cast<std::size_t>(minDeg)].erase(
-        buckets[static_cast<std::size_t>(minDeg)].begin());
-    o.perm.push_back(v);
-
-    // Form the clique among v's uneliminated neighbors.
-    std::vector<Index> nbrs(adj[static_cast<std::size_t>(v)].begin(),
-                            adj[static_cast<std::size_t>(v)].end());
-    for (const Index u : nbrs) {
-      auto& au = adj[static_cast<std::size_t>(u)];
-      au.erase(v);
-      for (const Index w : nbrs)
-        if (w != u) au.insert(w);
-      const Index newDeg = static_cast<Index>(au.size());
-      if (newDeg != degree[static_cast<std::size_t>(u)]) {
-        buckets[static_cast<std::size_t>(degree[static_cast<std::size_t>(u)])]
-            .erase(u);
-        buckets[static_cast<std::size_t>(newDeg)].insert(u);
-        degree[static_cast<std::size_t>(u)] = newDeg;
-        minDeg = std::min(minDeg, newDeg);
-      }
-    }
-    adj[static_cast<std::size_t>(v)].clear();
-  }
-
-  o.inverse.resize(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) o.inverse[o.perm[i]] = i;
-  VIADUCT_CHECK(o.isValid());
   return o;
 }
 
@@ -339,8 +276,6 @@ Ordering makeOrdering(const CsrMatrix& a, OrderingChoice choice) {
       return Ordering::identity(a.rows());
     case OrderingChoice::kRcm:
       return reverseCuthillMcKee(a);
-    case OrderingChoice::kMinimumDegree:
-      return minimumDegree(a);
     case OrderingChoice::kAmd:
       return approximateMinimumDegree(a);
   }

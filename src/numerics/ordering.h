@@ -23,7 +23,7 @@ struct Ordering {
 /// model config). kAmd is the only choice that stays practical at
 /// million-node meshes; kRcm remains the default for the small stamped
 /// systems because its banded factors favor the up-looking solver.
-enum class OrderingChoice { kNatural, kRcm, kMinimumDegree, kAmd };
+enum class OrderingChoice { kNatural, kRcm, kAmd };
 
 /// Builds the ordering named by `choice` for the symmetric structure of `a`.
 Ordering makeOrdering(const CsrMatrix& a, OrderingChoice choice);
@@ -31,12 +31,6 @@ Ordering makeOrdering(const CsrMatrix& a, OrderingChoice choice);
 /// Reverse Cuthill–McKee on the symmetric structure of `a` (structure of
 /// A + Aᵀ is assumed symmetric, which holds for all viaduct systems).
 Ordering reverseCuthillMcKee(const CsrMatrix& a);
-
-/// Greedy minimum-degree ordering (quotient-graph elimination with clique
-/// formation). Usually beats RCM on fill for irregular graphs; RCM remains
-/// the default because the mesh-like viaduct systems favor its banded
-/// factors and its cost is strictly linear.
-Ordering minimumDegree(const CsrMatrix& a);
 
 /// Approximate minimum degree (Amestoy–Davis–Duff style). Quotient-graph
 /// elimination with element absorption and the approximate external-degree

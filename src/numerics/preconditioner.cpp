@@ -26,85 +26,6 @@ void JacobiPreconditioner::apply(std::span<const double> r,
   for (std::size_t i = 0; i < r.size(); ++i) z[i] = invDiag_[i] * r[i];
 }
 
-BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
-                                                     int blockSize)
-    : blockSize_(blockSize) {
-  VIADUCT_SPAN("precond.block_jacobi_setup");
-  VIADUCT_REQUIRE(blockSize >= 1 && a.rows() == a.cols());
-  VIADUCT_REQUIRE_MSG(a.rows() % blockSize == 0,
-                      "matrix size must be a multiple of the block size");
-  numBlocks_ = a.rows() / blockSize;
-  const int bs = blockSize_;
-  invBlocks_.assign(static_cast<std::size_t>(numBlocks_) * bs * bs, 0.0);
-
-  std::vector<double> block(static_cast<std::size_t>(bs) * bs);
-  for (Index b = 0; b < numBlocks_; ++b) {
-    for (int i = 0; i < bs; ++i)
-      for (int j = 0; j < bs; ++j)
-        block[i * bs + j] = a.at(b * bs + i, b * bs + j);
-    // Invert by Gauss-Jordan with partial pivoting; fall back to the
-    // (clamped) diagonal if the block is singular.
-    std::vector<double> aug(block);
-    std::vector<double> inv(static_cast<std::size_t>(bs) * bs, 0.0);
-    for (int i = 0; i < bs; ++i) inv[i * bs + i] = 1.0;
-    bool ok = true;
-    for (int k = 0; k < bs && ok; ++k) {
-      int p = k;
-      for (int r = k + 1; r < bs; ++r)
-        if (std::abs(aug[r * bs + k]) > std::abs(aug[p * bs + k])) p = r;
-      if (std::abs(aug[p * bs + k]) < 1e-300) {
-        ok = false;
-        break;
-      }
-      if (p != k)
-        for (int c = 0; c < bs; ++c) {
-          std::swap(aug[k * bs + c], aug[p * bs + c]);
-          std::swap(inv[k * bs + c], inv[p * bs + c]);
-        }
-      const double pivot = aug[k * bs + k];
-      for (int c = 0; c < bs; ++c) {
-        aug[k * bs + c] /= pivot;
-        inv[k * bs + c] /= pivot;
-      }
-      for (int r = 0; r < bs; ++r) {
-        if (r == k) continue;
-        const double f = aug[r * bs + k];
-        if (f == 0.0) continue;
-        for (int c = 0; c < bs; ++c) {
-          aug[r * bs + c] -= f * aug[k * bs + c];
-          inv[r * bs + c] -= f * inv[k * bs + c];
-        }
-      }
-    }
-    double* out = &invBlocks_[static_cast<std::size_t>(b) * bs * bs];
-    if (ok) {
-      std::copy(inv.begin(), inv.end(), out);
-    } else {
-      for (int i = 0; i < bs; ++i) {
-        const double d = block[i * bs + i];
-        out[i * bs + i] = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
-      }
-    }
-  }
-}
-
-void BlockJacobiPreconditioner::apply(std::span<const double> r,
-                                      std::span<double> z) const {
-  const int bs = blockSize_;
-  VIADUCT_REQUIRE(r.size() == static_cast<std::size_t>(numBlocks_) * bs &&
-                  z.size() == r.size());
-  for (Index b = 0; b < numBlocks_; ++b) {
-    const double* inv = &invBlocks_[static_cast<std::size_t>(b) * bs * bs];
-    const double* rb = &r[static_cast<std::size_t>(b) * bs];
-    double* zb = &z[static_cast<std::size_t>(b) * bs];
-    for (int i = 0; i < bs; ++i) {
-      double s = 0.0;
-      for (int j = 0; j < bs; ++j) s += inv[i * bs + j] * rb[j];
-      zb[i] = s;
-    }
-  }
-}
-
 IncompleteCholeskyPreconditioner::IncompleteCholeskyPreconditioner(
     const CsrMatrix& a) {
   VIADUCT_SPAN("precond.ic0_setup");

@@ -1,11 +1,10 @@
 // Preconditioners for the conjugate-gradient solver.
 //
-// Jacobi (diagonal) is the robust default. BlockJacobi with 3x3 nodal
-// blocks substantially accelerates the elasticity systems from the FEA
-// engine (the three displacement dof of a node are strongly coupled).
-// IncompleteCholesky (IC(0) with diagonal shifting on breakdown) is the
-// strongest option for the power-grid conductance matrices, which are
-// M-matrices where IC(0) cannot break down at shift 0.
+// Jacobi (diagonal) is the robust default. IncompleteCholesky (IC(0) with
+// diagonal shifting on breakdown) is the strongest option for the
+// power-grid conductance matrices, which are M-matrices where IC(0) cannot
+// break down at shift 0; the FEA solve's fallback rung runs it too. The
+// FEA solve's own multigrid preconditioner lives in fea/multigrid.h.
 #pragma once
 
 #include <memory>
@@ -40,20 +39,6 @@ class JacobiPreconditioner final : public Preconditioner {
 
  private:
   std::vector<double> invDiag_;
-};
-
-/// Block-Jacobi with fixed-size dense blocks (blockSize consecutive rows
-/// form one block; the FEA engine numbers dof as 3 per node consecutively).
-class BlockJacobiPreconditioner final : public Preconditioner {
- public:
-  BlockJacobiPreconditioner(const CsrMatrix& a, int blockSize);
-  void apply(std::span<const double> r, std::span<double> z) const override;
-  const char* name() const override { return "block-jacobi"; }
-
- private:
-  int blockSize_;
-  Index numBlocks_;
-  std::vector<double> invBlocks_;  // numBlocks dense inverses, row-major
 };
 
 /// IC(0): incomplete Cholesky with zero fill, on the lower triangle of A.

@@ -44,8 +44,6 @@ std::string_view orderingChoiceName(OrderingChoice choice) {
       return "natural";
     case OrderingChoice::kRcm:
       return "rcm";
-    case OrderingChoice::kMinimumDegree:
-      return "mindeg";
     case OrderingChoice::kAmd:
       return "amd";
   }
@@ -62,10 +60,9 @@ SpdSolverKind parseSpdSolverKind(std::string_view name) {
 OrderingChoice parseOrderingChoice(std::string_view name) {
   if (name == "natural") return OrderingChoice::kNatural;
   if (name == "rcm") return OrderingChoice::kRcm;
-  if (name == "mindeg") return OrderingChoice::kMinimumDegree;
   if (name == "amd") return OrderingChoice::kAmd;
   throw ParseError("unknown ordering '" + std::string(name) +
-                   "' (expected natural|rcm|mindeg|amd)");
+                   "' (expected natural|rcm|amd)");
 }
 
 }  // namespace viaduct

@@ -67,7 +67,7 @@ std::string_view spdSolverKindName(SpdSolverKind kind);
 std::string_view orderingChoiceName(OrderingChoice choice);
 
 /// Parse the names back ("uplooking"/"supernodal",
-/// "natural"/"rcm"/"mindeg"/"amd"); throws ParseError on anything else.
+/// "natural"/"rcm"/"amd"); throws ParseError on anything else.
 SpdSolverKind parseSpdSolverKind(std::string_view name);
 OrderingChoice parseOrderingChoice(std::string_view name);
 

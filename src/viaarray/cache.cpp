@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -113,20 +114,6 @@ void CharacterizationStore::save(const std::string& key,
   std::lock_guard lock(mutex_);
   auto entries = readAll(path_);
 
-  std::ofstream os(path_, std::ios::trunc);
-  if (!os) throw ParseError("cannot write characterization cache: " + path_);
-  os << kMagic << '\n';
-
-  auto writeEntry = [&os](const std::string& k, const RawEntry& e) {
-    os << "entry " << k << '\n';
-    os << "sigma " << e.sigmaLine << '\n';
-    for (const auto& t : e.traceLines) os << "trace " << t << '\n';
-  };
-  for (const auto& [k, e] : entries) {
-    if (k == key) continue;  // replaced below
-    writeEntry(k, e);
-  }
-
   RawEntry fresh;
   {
     std::ostringstream sig;
@@ -140,7 +127,22 @@ void CharacterizationStore::save(const std::string& key,
       fresh.traceLines.push_back(tl.str());
     }
   }
-  writeEntry(key, fresh);
+
+  const bool published = publishFileAtomically(path_, [&](std::ostream& os) {
+    os << kMagic << '\n';
+    auto writeEntry = [&os](const std::string& k, const RawEntry& e) {
+      os << "entry " << k << '\n';
+      os << "sigma " << e.sigmaLine << '\n';
+      for (const auto& t : e.traceLines) os << "trace " << t << '\n';
+    };
+    for (const auto& [k, e] : entries) {
+      if (k == key) continue;  // replaced below
+      writeEntry(k, e);
+    }
+    writeEntry(key, fresh);
+  });
+  if (!published)
+    throw ParseError("cannot write characterization cache: " + path_);
   VIADUCT_DEBUG << "characterization cache: stored entry (" << entries.size() + 1
                 << " total)";
 }

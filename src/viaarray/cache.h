@@ -39,7 +39,11 @@ class CharacterizationStore {
   /// (the save path is a read-modify-rewrite of the whole file).
   std::optional<CharacterizationData> load(const std::string& key) const;
 
-  /// Appends (or replaces) the entry for `key`.
+  /// Appends (or replaces) the entry for `key` by rewriting the whole file
+  /// and publishing it atomically (common/atomic_file.h): a crash or a full
+  /// disk mid-save keeps the previous file, and a reader sees either the
+  /// complete old file or the complete new one. Throws ParseError if the
+  /// file cannot be written.
   void save(const std::string& key, const CharacterizationData& data);
 
   /// Number of entries currently stored.

@@ -296,7 +296,8 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng, FailureTrace& trace,
   damage.assign(static_cast<std::size_t>(count), 0.0);
   // Zero-filled on every failure: dead and zero-current vias keep rate 0.
   std::vector<double>& rates = scratch.rates;
-  std::vector<double> currents = network.viaCurrents();
+  std::vector<double>& currents = scratch.currents;
+  network.viaCurrents(currents);
 
   trace.failureTimes.reserve(static_cast<std::size_t>(count));
   trace.resistanceAfter.reserve(static_cast<std::size_t>(count));
@@ -343,7 +344,7 @@ void ViaArrayCharacterizer::simulateTrial(Rng& rng, FailureTrace& trace,
     if (network.aliveCount() > 0) {
       trace.resistanceAfter.push_back(network.effectiveResistance());
       VIADUCT_COUNTER_ADD("viaarray.network_resolves", 1);
-      currents = network.viaCurrents();
+      network.viaCurrents(currents);
     } else {
       trace.resistanceAfter.push_back(std::numeric_limits<double>::infinity());
     }

@@ -87,12 +87,12 @@ struct ViaArrayCharacterizationSpec {
   double stressScale = kDefaultStressScale;
   double stressOffsetPa = kDefaultStressOffsetPa;
 
-  /// Preconditioner for the FEA stress solve. Multigrid is the default —
-  /// it solves fig7-sized grids several times faster than IC(0)-CG
-  /// (DESIGN.md §5.12) — with "ic0" and the seed's "bj" selectable for A/B
-  /// verification. Distinct preconditioners converge to ulp-level
-  /// *different* stress fields at the same tolerance, so this IS part of
-  /// cacheKey() and primitiveKey().
+  /// Preconditioner for the FEA stress solve: multigrid, the same default
+  /// as ThermoSolverOptions. It solves fig7-sized grids several times
+  /// faster than IC(0)-CG (DESIGN.md §5.12), which stays selectable here
+  /// for comparisons. The two converge to ulp-level *different* stress
+  /// fields at the same tolerance, so this IS part of cacheKey() and
+  /// primitiveKey().
   FeaPreconditionerKind feaPreconditioner = FeaPreconditionerKind::kMultigrid;
 
   /// Optional on-disk store of FEA stress primitives, consulted before
@@ -202,6 +202,7 @@ class ViaArrayCharacterizer {
     std::vector<double> budget;
     std::vector<double> damage;
     std::vector<double> rates;
+    std::vector<double> currents;
   };
 
   /// Fills `trace` progressively (cleared first), so a trial aborted by a

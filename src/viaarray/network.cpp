@@ -275,9 +275,15 @@ const std::vector<double>& ViaArrayNetwork::nodeVoltages() const {
 }
 
 std::vector<double> ViaArrayNetwork::viaCurrents() const {
+  std::vector<double> currents;
+  viaCurrents(currents);
+  return currents;
+}
+
+void ViaArrayNetwork::viaCurrents(std::vector<double>& currents) const {
   const std::vector<double>& v = nodeVoltages();
   const int plate = config_.n * config_.n;
-  std::vector<double> currents(static_cast<std::size_t>(plate), 0.0);
+  currents.assign(static_cast<std::size_t>(plate), 0.0);
   for (int i = 0; i < plate; ++i) {
     if (!alive_[static_cast<std::size_t>(i)]) continue;
     currents[static_cast<std::size_t>(i)] =
@@ -285,7 +291,6 @@ std::vector<double> ViaArrayNetwork::viaCurrents() const {
          v[static_cast<std::size_t>(plate + i)]) *
         base_->gVia;
   }
-  return currents;
 }
 
 double ViaArrayNetwork::effectiveResistance() const {

@@ -88,6 +88,10 @@ class ViaArrayNetwork {
   /// carry 0. Throws NumericalError if no conducting path remains.
   std::vector<double> viaCurrents() const;
 
+  /// The same currents written into `currents` (resized to the via count),
+  /// so a caller that re-solves per failure reuses one buffer.
+  void viaCurrents(std::vector<double>& currents) const;
+
   /// Effective feed-to-drain resistance of the array network [Ω].
   /// Infinite (throws NumericalError) once all vias have failed.
   double effectiveResistance() const;

@@ -22,7 +22,7 @@
 //
 // Writes are crash-safe: the whole file is rewritten to `<path>.tmp`,
 // fsync'd, and atomically renamed over `<path>` (then the directory is
-// fsync'd so the rename itself survives a crash). Readers open the path
+// fsync'd so the rename itself survives a crash; common/atomic_file.h). Readers open the path
 // fresh on every load, so a concurrent reader sees either the complete old
 // file or the complete new one — never a torn write.
 #pragma once

@@ -108,8 +108,7 @@ std::vector<double> randomVector(std::size_t n, std::uint64_t seed) {
 struct Fixture {
   Fixture(const VoxelGrid& grid, int threads) : solver(grid), pool(threads) {
     mg = std::make_unique<VoxelStressMultigrid>(
-        grid, solver.constrainedMask(), solver.elementOperators(),
-        MultigridOptions{}, &pool);
+        grid, solver.constrainedMask(), solver.elementOperators(), &pool);
   }
 
   /// Level indices that carry a stencil operator.
@@ -348,7 +347,7 @@ TEST(FeaStencilKernels, OperatorsRunTheBestKernelAndTheHookChecksTheCpu) {
 TEST(FeaStencilKernels, StackInverseMatchesDenseLuOnEveryLevelBlock) {
   // A node's nodal diagonal block is its stencil's center entry; with the
   // constrained rows and columns replaced by identity, exactly what the
-  // smoother and the block-Jacobi preconditioner invert.
+  // smoother inverts.
   for (const IntersectionPattern pattern :
        {IntersectionPattern::kPlus, IntersectionPattern::kT,
         IntersectionPattern::kL}) {

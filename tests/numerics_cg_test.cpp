@@ -103,43 +103,6 @@ TEST(Preconditioner, JacobiMatchesDiagonalScaling) {
   for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(z[i], 1.0 / d[i], 1e-14);
 }
 
-TEST(Preconditioner, BlockJacobiReducesIterationsOnBlockSystem) {
-  // Build a 3-dof-per-node system with strong intra-block coupling.
-  const Index nodes = 60;
-  TripletMatrix t(nodes * 3, nodes * 3);
-  Rng rng(21);
-  for (Index n = 0; n < nodes; ++n) {
-    for (int i = 0; i < 3; ++i) {
-      t.add(n * 3 + i, n * 3 + i, 10.0);
-      for (int j = i + 1; j < 3; ++j) {
-        const double c = rng.uniform(2.0, 4.0);
-        t.add(n * 3 + i, n * 3 + j, c);
-        t.add(n * 3 + j, n * 3 + i, c);
-      }
-    }
-    if (n + 1 < nodes)
-      for (int i = 0; i < 3; ++i) t.stampConductance(n * 3 + i, (n + 1) * 3 + i, 0.5);
-  }
-  const CsrMatrix a = CsrMatrix::fromTriplets(t);
-  std::vector<double> b = randomVector(static_cast<std::size_t>(nodes) * 3, rng);
-
-  std::vector<double> x1(b.size(), 0.0), x2(b.size(), 0.0);
-  const JacobiPreconditioner jac(a);
-  const BlockJacobiPreconditioner bj(a, 3);
-  const CgResult r1 = conjugateGradient(a, b, x1, jac);
-  const CgResult r2 = conjugateGradient(a, b, x2, bj);
-  EXPECT_TRUE(r1.converged);
-  EXPECT_TRUE(r2.converged);
-  EXPECT_LE(r2.iterations, r1.iterations);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-6);
-}
-
-TEST(Preconditioner, BlockJacobiRequiresDivisibleSize)
-{
-  const CsrMatrix a = laplacian2d(4, 4);  // 16 rows, not divisible by 3
-  EXPECT_THROW(BlockJacobiPreconditioner(a, 3), PreconditionError);
-}
-
 TEST(Preconditioner, Ic0AcceleratesLaplacian) {
   const CsrMatrix a = laplacian2d(24, 24, 0.001);
   Rng rng(33);

@@ -6,11 +6,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/serialize.h"
+#include "fea/thermo_solver.h"
+#include "viaarray/characterize.h"
 
 namespace viaduct {
 namespace {
@@ -86,6 +90,25 @@ TEST_F(CacheTest, SaveReplacesExistingKey) {
   store.save("key", sampleData(4, 5));
   EXPECT_EQ(store.entryCount(), 1u);
   EXPECT_EQ(store.load("key")->traces.size(), 5u);
+}
+
+TEST_F(CacheTest, SavePublishesANewFileInsteadOfRewritingTheOldOne) {
+  CharacterizationStore store(path_);
+  store.save("key-a", sampleData(4, 2));
+  std::string before;
+  {
+    std::ifstream is(path_);
+    before.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  // A reader that opened the store before a save keeps reading the complete
+  // old file: the save must replace it, not truncate and refill it.
+  std::ifstream reader(path_);
+  ASSERT_TRUE(reader.good());
+  store.save("key-b", sampleData(16, 3));
+  const std::string seen(std::istreambuf_iterator<char>(reader), {});
+  EXPECT_EQ(seen, before);
+  EXPECT_EQ(store.entryCount(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(atomicTempPath(path_)));
 }
 
 TEST_F(CacheTest, CorruptFileIsTreatedAsMiss) {
@@ -253,6 +276,14 @@ TEST(CacheKeys, DefaultSpecKeysArePinned) {
             "stk=2.9999999999999999e-07,2.4999999999999999e-07,"
             "2.9999999999999999e-07;fea=mg;Ta=350;Top=105;"
             "tol=9.9999999999999995e-08;key=p17v1");
+}
+
+TEST(CacheKeys, SolverAndCharacterizationShareTheFeaDefault) {
+  // A solver built at its defaults computes the field the default
+  // characterization key names ("fea=mg" above), so the two defaults are
+  // one.
+  EXPECT_EQ(ThermoSolverOptions{}.preconditioner,
+            ViaArrayCharacterizationSpec{}.feaPreconditioner);
 }
 
 }  // namespace

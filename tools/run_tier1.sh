@@ -54,7 +54,11 @@
 #      a ~1e4-node mesh — closed-form/marched parity <= 1e-8 on the fig6/
 #      fig7 line geometries, verdict + sample bit-identity across EM modes,
 #      and a floor on the steady-vs-transient per-trial speedup
-#      (BENCH_em_steady.json; the >= 5x floor applies to the full run).
+#      (BENCH_em_steady.json; the >= 5x floor applies to the full run);
+#  14. the FEA shape benches: fig1_stress_profile, fig6_pattern_stress,
+#      fig7_array_size_stress and claim_inner_via_lifetime must reproduce
+#      every paper shape property on the multigrid stress solve (each exits
+#      nonzero on a [FAIL] line).
 #
 # Usage: tools/run_tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -70,28 +74,28 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "=== [1/13] tier-1: configure + -Werror build + full test suite ==="
+echo "=== [1/14] tier-1: configure + -Werror build + full test suite ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DVIADUCT_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [2/13] fault label: recovery-path tests ==="
+echo "=== [2/14] fault label: recovery-path tests ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" -L fault
 
-echo "=== [3/13] checkpoint label: crash-safety and resume tests ==="
+echo "=== [3/14] checkpoint label: crash-safety and resume tests ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" -L checkpoint
 
 if [[ "$SKIP_TSAN" -eq 1 ]]; then
-  echo "=== [4/13] tsan sweep skipped (--skip-tsan) ==="
+  echo "=== [4/14] tsan sweep skipped (--skip-tsan) ==="
 else
-  echo "=== [4/13] thread-sanitized build: tsan label ==="
+  echo "=== [4/14] thread-sanitized build: tsan label ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVIADUCT_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
 fi
 
-echo "=== [5/13] uninjected CLI smoke run must be WARN-free ==="
+echo "=== [5/14] uninjected CLI smoke run must be WARN-free ==="
 SMOKE_LOG="$(mktemp)"
 SMOKE_CKPT="$(mktemp -u).ckpt"
 trap 'rm -f "$SMOKE_LOG" "$SMOKE_CKPT"* ' EXIT
@@ -116,13 +120,13 @@ if grep -E "\[viaduct (WARN|ERROR)" "$SMOKE_LOG"; then
 fi
 echo "smoke run clean (no WARN/ERROR lines, resume exact)"
 
-echo "=== [6/13] perf_viaarray: incremental solver vs LU oracle smoke ==="
+echo "=== [6/14] perf_viaarray: incremental solver vs LU oracle smoke ==="
 # Benchmark registrations are skipped (filter matches nothing); the
 # per-step sweep check and BENCH_viaarray.json still run. Exit is nonzero
 # only if the incremental solve and the LU oracle disagree.
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
-echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
+echo "=== [7/14] perf_grid_scale: shared-base level-2 engine smoke ==="
 # Parity, determinism, speedup, solves-per-failure and seeded-column
 # bit-identity gates on the smallest mesh (a failure costs at most one
 # factored solve, none when the column cache holds its array;
@@ -131,14 +135,14 @@ echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
 # without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
-echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
+echo "=== [8/14] perf_obs_export: live-telemetry overhead + bit-identity ==="
 # Grid MC with the registry, JSONL sampler, the --obs-listen telemetry
 # listener (serve::startTelemetryListener, the same HTTP transport as the
 # daemon), and a live scraper all running must stay within the overhead
 # budget and produce bit-identical samples vs. obs-off across thread counts.
 (cd build/bench && ./perf_obs_export --smoke)
 
-echo "=== [9/13] perf_fea_mg: multigrid vs IC(0) FEA solve smoke ==="
+echo "=== [9/14] perf_fea_mg: multigrid vs IC(0) FEA solve smoke ==="
 # End-to-end solve parity (mg and ic0 via peaks must agree), the
 # warm-primitive-store zero-solve gate, the mg displacement's
 # bit-identity at 1 and 2 threads and the plain and AVX2 stencil rows'
@@ -147,7 +151,7 @@ echo "=== [9/13] perf_fea_mg: multigrid vs IC(0) FEA solve smoke ==="
 # without --smoke (CI uploads its BENCH_fea_mg.json).
 (cd build/bench && ./perf_fea_mg --smoke)
 
-echo "=== [10/13] CLI warm-store smoke: second run must skip all FEA ==="
+echo "=== [10/14] CLI warm-store smoke: second run must skip all FEA ==="
 STORE_FILE="$(mktemp -u).primitives"
 COLD_OUT="$(mktemp)"
 WARM_OUT="$(mktemp)"
@@ -171,14 +175,14 @@ if solves != 0 or hits < 1:
 print(f"warm store clean: 0 FEA solves, {hits} primitive hit(s)")
 EOF
 
-echo "=== [11/13] perf_serve: serving-layer dedup/admission/drain smoke ==="
+echo "=== [11/14] perf_serve: serving-layer dedup/admission/drain smoke ==="
 # In-process gates: N concurrent identical characterize requests collapse
 # to ONE execution and ONE FEA solve; the queue limit sheds load with 429;
 # malformed/slow clients get 400/413/408; drain loses no in-flight
 # response (exit is nonzero on any gate miss; writes BENCH_serve.json).
 (cd build/bench && ./perf_serve --smoke)
 
-echo "=== [12/13] serve daemon smoke: dedup burst + clean SIGTERM drain ==="
+echo "=== [12/14] serve daemon smoke: dedup burst + clean SIGTERM drain ==="
 SERVE_LOG="$(mktemp)"
 SERVE_METRICS="$(mktemp)"
 trap 'rm -f "$SMOKE_LOG" "$SMOKE_CKPT"* "$STORE_FILE" "$COLD_OUT" \
@@ -248,11 +252,23 @@ if deduped < 1:
 print(f"drain snapshot clean: 1 FEA-solve burst, {deduped} deduped join(s)")
 EOF
 
-echo "=== [13/13] perf_em_steady: steady-state wire-EM parity + speedup ==="
+echo "=== [13/14] perf_em_steady: steady-state wire-EM parity + speedup ==="
 # Closed-form steady-state audit vs the marched transient reference on the
 # paper line geometries (parity <= 1e-8), EM-mode verdict identity, and
 # MC sample bit-identity with the audit on; the full run with the >= 5x
 # per-trial floor is the same binary without --smoke.
 (cd build/bench && ./perf_em_steady --smoke)
+
+echo "=== [14/14] FEA shape benches: paper stress shapes on the mg solve ==="
+# Figures 1, 6 and 7 and the inner-via lifetime claim, at their default
+# sizes: each prints [PASS]/[FAIL] per shape property and exits nonzero on
+# any [FAIL].
+for fea_bench in fig1_stress_profile fig6_pattern_stress \
+    fig7_array_size_stress claim_inner_via_lifetime; do
+  (cd build/bench && "./$fea_bench" > /dev/null) \
+    || { echo "FAIL: $fea_bench shape check (rerun it for the table)" >&2
+         exit 1; }
+  echo "$fea_bench: all shape checks pass"
+done
 
 echo "ALL TIER-1 CHECKS PASSED"

@@ -62,11 +62,10 @@ Netlist loadGrid(const std::string& netlistPath, const std::string& preset) {
 }
 
 /// The run-control flags `analyze` and `characterize` share: the
-/// characterization cache, worker threads, checkpoint/resume, the FEA
-/// preconditioner and the stress-primitive store.
+/// characterization cache, worker threads, checkpoint/resume and the
+/// stress-primitive store.
 struct RunFlags {
   std::string cachePath, checkpointPath, primitiveStorePath;
-  std::string feaPrecond = "mg";
   int threads = 0, checkpointEvery = 32;
   bool resume = false;
 
@@ -83,16 +82,13 @@ struct RunFlags {
     flags.addBool("resume", &resume,
                   "resume completed trials from --checkpoint (stale or "
                   "corrupt snapshots are rejected and re-run)");
-    flags.addString("fea-precond", &feaPrecond,
-                    "FEA stress-solve preconditioner: mg (geometric "
-                    "multigrid, fastest), ic0, or bj (seed baseline)");
     flags.addString("primitive-store", &primitiveStorePath,
                     "on-disk FEA stress-primitive store; a warm store "
                     "characterizes with zero FEA solves");
   }
 
   /// Applies the flags to `run` (an AnalyzerConfig or a characterization
-  /// spec) and the FEA ones to the characterization `spec`.
+  /// spec) and the primitive store to the characterization `spec`.
   template <typename Run>
   void applyTo(Run& run, ViaArrayCharacterizationSpec& spec) const {
     if (resume && checkpointPath.empty())
@@ -101,11 +97,6 @@ struct RunFlags {
     run.checkpoint = {.path = checkpointPath,
                       .everyTrials = checkpointEvery,
                       .resume = resume};
-    const auto kind = parseFeaPreconditionerName(feaPrecond);
-    if (!kind)
-      throw PreconditionError("unknown --fea-precond '" + feaPrecond +
-                              "' (mg, ic0, or bj)");
-    spec.feaPreconditioner = *kind;
     if (!primitiveStorePath.empty())
       spec.primitiveStore =
           std::make_shared<StressPrimitiveStore>(primitiveStorePath);
@@ -168,7 +159,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
                   "direct solver for the grid system: uplooking|supernodal "
                   "(supernodal+amd scales to ~1e6-node meshes)");
   flags.addString("grid-ordering", &gridOrdering,
-                  "fill-reducing ordering: natural|rcm|mindeg|amd");
+                  "fill-reducing ordering: natural|rcm|amd");
   flags.addBool("wire-audit", &wireAudit,
                 "audit every MC failure configuration's wire stresses with "
                 "the steady-state tree solver (diagnostic; TTF samples are "
